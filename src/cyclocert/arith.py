@@ -180,27 +180,25 @@ def next_prime_above(x: int) -> int:
 def divisors_up_to(n: FactoredInteger, bound: int) -> list[int]:
     """All divisors d of n with d <= bound, ascending.
 
-    Depth-first subset products with pruning; n itself is never expanded, so
-    this stays cheap even when n has hundreds of bits and bound is small.
+    Grows the divisor list one prime power at a time, pruning products
+    against the bound; n itself is never expanded and no recursion is used,
+    so this stays cheap even when n has thousands of primes and bound is
+    small.
     """
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
-    found: list[int] = []
-    entries = n.factors
-
-    def descend(i: int, prod: int) -> None:
-        if i == len(entries):
-            found.append(prod)
-            return
-        p, e = entries[i]
-        descend(i + 1, prod)
-        for _ in range(e):
-            if prod > bound // p:
-                break
-            prod *= p
-            descend(i + 1, prod)
-
-    descend(0, 1)
+    found = [1]
+    for p, e in n.factors:
+        if p > bound:
+            break  # primes ascend, so no later one fits either
+        grown = []
+        for d in found:
+            for _ in range(e):
+                if d > bound // p:
+                    break
+                d *= p
+                grown.append(d)
+        found += grown
     return sorted(found)
 
 

@@ -79,6 +79,15 @@ def _factors_to_json(n: FactoredInteger) -> list[list[int]]:
     return [[p, e] for p, e in n.factors]
 
 
+def _report_to_json(report: VerificationReport) -> dict:
+    return {
+        "pass": report.passed,
+        "computed_value": report.computed_value,
+        "window_checked": report.window_checked,
+        "reasons": list(report.reasons),
+    }
+
+
 def serialize_document(document: CertificateDocument) -> str:
     cert = document.certificate
     plan = cert.plan
@@ -104,13 +113,7 @@ def serialize_document(document: CertificateDocument) -> str:
         "ratio_den": cert.ratio_den,
     }
     if document.verification is not None:
-        report = document.verification
-        data["verification"] = {
-            "pass": report.passed,
-            "computed_value": report.computed_value,
-            "window_checked": report.window_checked,
-            "reasons": list(report.reasons),
-        }
+        data["verification"] = _report_to_json(document.verification)
     return json.dumps(data, indent=2) + "\n"
 
 
@@ -259,15 +262,6 @@ def parse_document(text: str) -> CertificateDocument:
             reasons=tuple(raw["reasons"]),
         )
     return CertificateDocument(certificate=certificate, verification=verification)
-
-
-def _report_to_json(report: VerificationReport) -> dict:
-    return {
-        "pass": report.passed,
-        "computed_value": report.computed_value,
-        "window_checked": report.window_checked,
-        "reasons": list(report.reasons),
-    }
 
 
 def _env_degree_budget() -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 
 from .arith import FactoredInteger, euler_phi, factor, radical
 from .errors import ArithmeticOverflowError, DegreeBudgetExceededError, MACHINE_INT_MAX
@@ -87,55 +88,94 @@ def _mobius_unit_divisors(n: FactoredInteger, bound: int) -> list[tuple[int, int
     """Divisors d <= bound of n with squarefree cofactor, as (d, mu(n/d)).
 
     At each prime p**e of n the divisor must use exponent e or e-1, otherwise
-    n/d is not squarefree; the sign is (-1)**(count of e-1 choices).  Products
-    are pruned against the bound, so n is never expanded.
+    n/d is not squarefree.  So d = base * prod(S), where base is the product
+    of every p**(e-1) and S is a set of primes of n, and mu(n/d) is
+    (-1)**(omega(n) - |S|).  The sets are enumerated with an explicit stack
+    over the ascending primes, pruned against the bound, so neither n nor the
+    recursion depth grows with the number of primes.
     """
-    out: list[tuple[int, int]] = []
     if bound < 1:
-        return out
-    entries = n.factors
-
-    def descend(i: int, prod: int, negations: int) -> None:
-        if i == len(entries):
-            out.append((prod, -1 if negations & 1 else 1))
-            return
-        p, e = entries[i]
-        base = prod
+        return []
+    base = 1
+    for p, e in n.factors:
         for _ in range(e - 1):
             if base > bound // p:
-                return
+                return []
             base *= p
-        descend(i + 1, base, negations + 1)
-        if base <= bound // p:
-            descend(i + 1, base * p, negations)
-
-    descend(0, 1, 0)
+    primes = n.primes()
+    omega = len(primes)
+    out: list[tuple[int, int]] = []
+    stack = [(0, base, 0)]  # (next prime index, divisor, |S|)
+    while stack:
+        i, d, size = stack.pop()
+        out.append((d, -1 if (omega - size) & 1 else 1))
+        room = bound // d
+        for j in range(i, omega):
+            if primes[j] > room:
+                break  # every later prime is larger still
+            stack.append((j + 1, d * primes[j], size + 1))
     return out
 
 
-def phi_truncated(n: FactoredInteger, truncation: int) -> TruncatedSeries:
-    """Phi_n mod x**truncation for factored n > 1.
+def _truncated_product(
+    n: FactoredInteger, truncation: int, start: int, exponent: int
+) -> TruncatedSeries:
+    """Coefficients start..truncation-1 of the product of (1 - x**d)**e_d,
+    e_d = exponent * mu(n/d), over the divisors d of n below the truncation.
 
-    Applies (1 - x**d)**mu(n/d) for every divisor d below the truncation with
-    squarefree cofactor; all other divisors contribute 1.  Cost is governed by
-    the truncation and the number of small divisors, never by n itself.
+    A divisor is low when 2d < truncation and high otherwise.  The low
+    factors are applied densely, all of them multiplications first: that
+    keeps the partial products near the size of the result instead of
+    letting the running sums of the divisions grow first.  A high factor is
+    1 - e_d * x**d modulo x**truncation and any product of two of them
+    vanishes, so their product is 1 - sum of e_d * x**d, and coefficient k
+    of the result is dense[k] - sum over high d <= k of e_d * dense[k - d],
+    computed only for the requested k.
     """
     if n.is_one:
         raise ValueError("the Mobius product form requires n > 1")
-    out = TruncatedSeries.one(truncation)
-    for d, sign in _mobius_unit_divisors(n, truncation - 1):
-        out = out.apply_one_minus_power(d, sign)
-    return out
+    if not 0 <= start < truncation:
+        raise ValueError(f"start must lie in [0, {truncation}), got {start}")
+    low: list[tuple[int, int]] = []
+    high: list[tuple[int, int]] = []
+    for d, mu in _mobius_unit_divisors(n, truncation - 1):
+        (low if 2 * d < truncation else high).append((d, exponent * mu))
+    dense = TruncatedSeries.one(truncation)
+    for d, sign in sorted(low, key=lambda step: (-step[1], step[0])):
+        dense = dense.apply_one_minus_power(d, sign)
+    if not high:
+        return dense if start == 0 else TruncatedSeries(dense.coeffs[start:])
+    base = dense.coeffs
+    out = list(base[start:])
+    for d, sign in high:
+        lo = max(start, d)
+        out[lo - start :] = map(
+            sub if sign == 1 else add, out[lo - start :], base[lo - d : truncation - d]
+        )
+    if max(out) > MACHINE_INT_MAX or min(out) < _MIN:
+        raise ArithmeticOverflowError("coefficient outside the 64-bit range")
+    return TruncatedSeries(tuple(out))
 
 
-def inverse_phi_truncated(n: FactoredInteger, truncation: int) -> TruncatedSeries:
+def phi_truncated(n: FactoredInteger, truncation: int, start: int = 0) -> TruncatedSeries:
+    """Phi_n mod x**truncation for factored n > 1, from coefficient `start` on.
+
+    Applies (1 - x**d)**mu(n/d) for every divisor d below the truncation with
+    squarefree cofactor; all other divisors contribute 1.  The result holds
+    coefficients start..truncation-1, so it has length truncation - start.
+    Cost is O(#low * truncation + #high * (truncation - start)), with low
+    divisors 2d < truncation and high ones the rest, never governed by n
+    itself.  Every coefficient of the dense low-divisor product, after each
+    step, and every returned coefficient is checked against the 64-bit range.
+    """
+    return _truncated_product(n, truncation, start, 1)
+
+
+def inverse_phi_truncated(
+    n: FactoredInteger, truncation: int, start: int = 0
+) -> TruncatedSeries:
     """1/Phi_n mod x**truncation: the same divisor product, exponents negated."""
-    if n.is_one:
-        raise ValueError("the Mobius product form requires n > 1")
-    out = TruncatedSeries.one(truncation)
-    for d, sign in _mobius_unit_divisors(n, truncation - 1):
-        out = out.apply_one_minus_power(d, -sign)
-    return out
+    return _truncated_product(n, truncation, start, -1)
 
 
 @lru_cache(maxsize=None)

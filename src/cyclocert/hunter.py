@@ -317,6 +317,16 @@ def verify_certificate(
     revalidated.  With full_window, the window identity is additionally
     checked at every index of [p_t, 2*p_1), not just the target.  Failures
     never raise; they accumulate reason codes and yield passed=False.
+
+    The product is expanded to truncation k + 1 and read at k alone, or with
+    full_window to 2*p_1 and read on [min(k, p_t), 2*p_1).  Divisors d of N
+    with 2d below that truncation (here the divisors of the kernel) cost
+    O(truncation) each; the others (here the cluster primes) cost one step
+    per coefficient read, W = 2*p_1 - p_t of them for the full window.  An
+    "overflow" reason means a coefficient of the dense low-divisor product,
+    after any step, or one of the requested coefficients left the signed
+    64-bit range; coefficients outside the requested range are never
+    completed, so they are not checked.
     """
     reasons: list[str] = []
 
@@ -426,31 +436,34 @@ def verify_certificate(
     if not factor(certificate.m_original).divides(certificate.N_lifted):
         flag(REASON_LIFT)
 
-    # the independent recomputation: truncated divisor product over N alone
+    # the independent recomputation: truncated divisor product over N alone,
+    # expanded only as far as the coefficients read below
+    horizon = 2 * p_first
+    k = certificate.k_kernel
+    if full_window:
+        start, truncation = max(0, min(k, p_last, horizon - 1)), horizon
+    else:
+        start, truncation = k, k + 1
     computed: int | None = None
     expansion: TruncatedSeries | None = None
-    horizon = 2 * p_first
-    try:
-        if mode_a:
-            expansion = phi_truncated(certificate.N, horizon)
-        else:
-            expansion = inverse_phi_truncated(certificate.N, horizon)
-    except ArithmeticOverflowError:
-        flag(REASON_OVERFLOW)
-    if expansion is not None and 0 <= certificate.k_kernel < horizon:
-        computed = expansion.coeffs[certificate.k_kernel]
+    if 0 <= start < truncation <= horizon:
+        expand = phi_truncated if mode_a else inverse_phi_truncated
+        try:
+            expansion = expand(certificate.N, truncation, start)
+        except ArithmeticOverflowError:
+            flag(REASON_OVERFLOW)
+    if expansion is not None and start <= k < truncation:
+        computed = expansion.coeffs[k - start]
     if computed != certificate.v:
         flag(REASON_VALUE)
 
     window_checked = False
     if full_window and expansion is not None and period is not None:
         window_checked = True
-        kernel_mu = plan.mu_kernel
-        for k in range(p_last, horizon):
-            predicted = period[k % kernel] - kernel_mu * t * period[(k - 1) % kernel]
-            if expansion.coeffs[k] != predicted:
-                flag(REASON_WINDOW_MISMATCH)
-                break
+        if expansion.coeffs[p_last - start :] != predict_window(
+            certificate, degree_budget=degree_budget
+        ):
+            flag(REASON_WINDOW_MISMATCH)
 
     return VerificationReport(
         certificate=certificate,

@@ -5,18 +5,27 @@ the coefficient of x**i.  Every operation checks its results against the
 signed 64-bit range and raises ArithmeticOverflowError when a coefficient
 leaves it, so the fixed-width policy fails loudly instead of growing silently.
 
-Multiplication is the naive O(T^2) convolution on purpose: every certified
-workflow keeps T in the low thousands, and the hot path, multiplying or
-dividing by a binomial 1 - x**d, runs in O(T) via apply_one_minus_power.
+Multiplication and inversion are the naive O(T^2) loops, which only the
+tests use.  The hot path, multiplying or dividing by a binomial
+1 - x**d, is apply_one_minus_power: O(T) element operations run inside
+slice and accumulate calls over chunks of at most _CHUNK coefficients, plus
+one range check of all T results per step.  Truncated cyclotomic products
+call it only for divisors with 2d < T (see cyclo), so a product costs
+O(T) per such divisor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, sub
 
 from .errors import ArithmeticOverflowError, MACHINE_INT_MAX, NonUnitConstantTermError
 
 _MIN = -MACHINE_INT_MAX
+
+# slice length of the in-place kernels below; it bounds their temporaries
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -100,24 +109,54 @@ class TruncatedSeries:
 
         Multiplication is c'_i = c_i - c_{i-d}; division is the running-sum
         recurrence c'_i = c_i + c'_{i-d}.  A d at or beyond the truncation is
-        a no-op since 1 - x**d = 1 mod x**T.
+        a no-op since 1 - x**d = 1 mod x**T.  The whole result is range
+        checked once, after the step.
         """
         if d < 1:
             raise ValueError(f"exponent d must be at least 1, got {d}")
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
+        if d >= len(self.coeffs):
+            return self
         c = list(self.coeffs)
-        t = len(c)
         if sign == 1:
-            for i in range(t - 1, d - 1, -1):
-                v = c[i] - c[i - d]
-                if v > MACHINE_INT_MAX or v < _MIN:
-                    raise ArithmeticOverflowError("coefficient outside the 64-bit range")
-                c[i] = v
+            _multiply_in_place(c, d)
+        elif d * d < _CHUNK:
+            _divide_small_in_place(c, d)
         else:
-            for i in range(d, t):
-                v = c[i] + c[i - d]
-                if v > MACHINE_INT_MAX or v < _MIN:
-                    raise ArithmeticOverflowError("coefficient outside the 64-bit range")
-                c[i] = v
+            _divide_in_place(c, d)
+        if max(c) > MACHINE_INT_MAX or min(c) < _MIN:
+            raise ArithmeticOverflowError("coefficient outside the 64-bit range")
         return TruncatedSeries(tuple(c))
+
+
+def _multiply_in_place(c: list[int], d: int) -> None:
+    # c[i] -= c[i-d], top chunk first, so every c[i-d] read is still unchanged
+    hi = len(c)
+    while hi > d:
+        lo = max(d, hi - _CHUNK)
+        c[lo:hi] = map(sub, c[lo:hi], c[lo - d : hi - d])
+        hi = lo
+
+
+def _divide_in_place(c: list[int], d: int) -> None:
+    # c[i] += c[i-d], bottom chunk first; a chunk spans at most d indices, so
+    # every c[i-d] it reads is already final
+    t = len(c)
+    width = min(d, _CHUNK)
+    for lo in range(d, t, width):
+        hi = min(t, lo + width)
+        c[lo:hi] = map(add, c[lo:hi], c[lo - d : hi - d])
+
+
+def _divide_small_in_place(c: list[int], d: int) -> None:
+    # for small d those chunks would be short: run a prefix sum along each
+    # residue class instead, one block of about _CHUNK indices at a time; past
+    # the first block each class slice starts at its last final element,
+    # which accumulate passes through unchanged
+    t = len(c)
+    block = _CHUNK // d * d
+    for lo in range(0, t, block):
+        hi = min(t, lo + block)
+        for start in range(lo - d, lo) if lo else range(d):
+            c[start:hi:d] = accumulate(c[start:hi:d])

@@ -83,6 +83,36 @@ def geometric_series(d: int, order: int) -> list[int]:
     return out
 
 
+def one_minus_power_loop(coeffs: list[int], d: int, sign: int) -> list[int]:
+    """coeffs times (sign=+1) or divided by (sign=-1) 1 - x**d, one
+    coefficient at a time."""
+    out = list(coeffs)
+    if sign == 1:
+        for i in range(len(out) - 1, d - 1, -1):
+            out[i] -= out[i - d]
+    else:
+        for i in range(d, len(out)):
+            out[i] += out[i - d]
+    return out
+
+
+def divisor_product(n: int, order: int, exponent: int) -> list[int]:
+    """prod over d | n, d < order, of (1 - x**d)**(exponent * mu(n/d)),
+    truncated, one factor at a time with no split into low and high d."""
+    out = [1] + [0] * (order - 1)
+    for d in range(1, order):
+        if n % d:
+            continue
+        cofactor = trial_factor(n // d)
+        if any(e > 1 for _, e in cofactor):
+            continue
+        if exponent * (-1) ** len(cofactor) == 1:
+            out = mul_series(out, [1] + [0] * (d - 1) + [-1], order)
+        else:
+            out = mul_series(out, geometric_series(d, order), order)
+    return out
+
+
 def sieve_primes(limit: int) -> list[int]:
     if limit < 2:
         return []

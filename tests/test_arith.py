@@ -156,6 +156,14 @@ class TestDivisorsUpTo:
         huge = FactoredInteger(((2, 1), (3, 1), (10**9 + 7, 5), (10**9 + 9, 5)))
         assert divisors_up_to(huge, 7) == [1, 2, 3, 6]
 
+    def test_thousands_of_primes(self):
+        # far more primes than Python's default recursion limit allows frames
+        primes = sieve_primes(13000)[:1500]
+        fac = FactoredInteger(tuple((p, 1) for p in primes))
+        bound = primes[-1]
+        squarefree = [d for d in range(1, bound + 1) if all(e == 1 for _, e in factor(d).factors)]
+        assert divisors_up_to(fac, bound) == squarefree
+
     @given(st.integers(min_value=1, max_value=5000))
     def test_matches_bruteforce(self, n):
         fac = factor(n)

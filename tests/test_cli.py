@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cyclocert
 from cyclocert.cli import (
     CertificateDocument,
     main,
@@ -155,6 +158,41 @@ class TestHuntAndVerify:
         assert "value-mismatch" in report["reasons"]
         assert report["computed_value"] == 2
 
+    @pytest.mark.parametrize("mode", ["a", "c"])
+    def test_thousand_prime_certificate(self, capsys, tmp_path, mode):
+        # N has over 1,000 prime factors and the truncation is 221,462
+        path = tmp_path / "cert.json"
+        code, _, err = run_cli(capsys, "hunt", "--m", "30", "--value", "1000", "--mode", mode,
+                               "--out", str(path))
+        assert code == 0, err
+        code, out, _ = run_cli(capsys, "verify", str(path), "--full-window")
+        assert code == 0
+        report = json.loads(out)
+        assert report["pass"] and report["window_checked"]
+        assert report["computed_value"] == 1000
+
+    @pytest.mark.parametrize("mode", ["a", "c"])
+    def test_full_window_rejects_tampered_index_and_window(self, capsys, tmp_path, mode):
+        path = tmp_path / "cert.json"
+        run_cli(capsys, "hunt", "--m", "30", "--value", "300", "--mode", mode, "--out", str(path))
+        original = json.loads(path.read_text())
+        p_last = original["primes"][-1]
+        for field, value, reason in (
+            ("k", original["k"] + 1, "value-mismatch"),
+            ("k", p_last - 1, "value-mismatch"),
+            ("t", original["t"] + 1, "window-mismatch"),
+        ):
+            data = dict(original, **{field: value})
+            if field == "k":
+                data["k_lifted"] = value
+            path.write_text(json.dumps(data))
+            code, out, _ = run_cli(capsys, "verify", str(path), "--full-window")
+            assert code == 1
+            report = json.loads(out)
+            assert reason in report["reasons"], (field, value, report)
+            if field == "k":
+                assert report["computed_value"] not in (None, 300)
+
     def test_verify_malformed_exits_2(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
         path.write_text("{not json")
@@ -212,18 +250,27 @@ class TestBenchCommand:
         assert info.value.code == 2
 
 
+def fresh_process_env() -> dict[str, str]:
+    """The environment for a child `python -m cyclocert`: it must import the
+    same package as this test, also when only pytest's pythonpath put it on
+    sys.path."""
+    src = str(Path(cyclocert.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + inherited if inherited else "")}
+
+
 class TestFreshProcess:
     def test_hunt_then_verify_in_subprocesses(self, tmp_path):
         path = tmp_path / "cert.json"
         hunt = subprocess.run(
             [sys.executable, "-m", "cyclocert", "hunt", "--m", "12", "--value", "-4",
              "--mode", "c", "--out", str(path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=fresh_process_env(),
         )
         assert hunt.returncode == 0, hunt.stderr
         verify = subprocess.run(
             [sys.executable, "-m", "cyclocert", "verify", str(path), "--full-window"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=fresh_process_env(),
         )
         assert verify.returncode == 0, verify.stderr
         assert json.loads(verify.stdout)["pass"] is True
@@ -235,7 +282,7 @@ class TestFreshProcess:
             run = subprocess.run(
                 [sys.executable, "-m", "cyclocert", "hunt", "--m", "6", "--value", "5",
                  "--mode", "a", "--out", str(path)],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=fresh_process_env(),
             )
             assert run.returncode == 0, run.stderr
             texts.append(path.read_text())

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cyclocert.arith import FactoredInteger, euler_phi, factor
 from cyclocert.cyclo import (
@@ -17,11 +18,33 @@ from cyclocert.errors import DegreeBudgetExceededError
 
 from oracles import (
     cyclotomic_by_division,
+    divisor_product,
     geometric_series,
     invert_series,
     mul_series,
     poly_mul,
+    sieve_primes,
 )
+
+PRIMES_BELOW_300 = sieve_primes(300)
+
+
+@st.composite
+def split_products(draw) -> tuple[FactoredInteger, int, int]:
+    """(n, truncation, start) where n repeats 2 and has prime divisors in
+    [truncation/2, truncation), so the product has low and high divisors."""
+    truncation = draw(st.integers(min_value=8, max_value=300))
+    high_primes = [p for p in PRIMES_BELOW_300 if truncation <= 2 * p < 2 * truncation]
+    exponents = {
+        2: draw(st.integers(min_value=2, max_value=3)),
+        3: draw(st.integers(min_value=0, max_value=2)),
+        5: draw(st.integers(min_value=0, max_value=1)),
+        7: draw(st.integers(min_value=0, max_value=1)),
+    }
+    for p in draw(st.lists(st.sampled_from(high_primes), min_size=1, max_size=2, unique=True)):
+        exponents[p] = 1
+    n = FactoredInteger(tuple(sorted((p, e) for p, e in exponents.items() if e)))
+    return n, truncation, draw(st.integers(min_value=0, max_value=truncation - 1))
 
 
 class TestPhiPoly:
@@ -169,6 +192,21 @@ class TestPhiTruncated:
         # and with two big primes the flips cancel
         n2 = n * FactoredInteger(((10**9 + 9, 1),))
         assert phi_truncated(n2, 8) == phi_truncated(factor(6), 8)
+
+
+class TestStartOffset:
+    @given(split_products())
+    def test_suffix_of_the_full_expansion(self, case):
+        n, truncation, start = case
+        for expand, exponent in ((phi_truncated, 1), (inverse_phi_truncated, -1)):
+            full = expand(n, truncation)
+            assert list(full.coeffs) == divisor_product(n.value(), truncation, exponent)
+            assert expand(n, truncation, start).coeffs == full.coeffs[start:]
+
+    def test_start_outside_the_truncation_rejected(self):
+        for start in (-1, 8):
+            with pytest.raises(ValueError):
+                phi_truncated(factor(6), 8, start)
 
 
 class TestInversePhiTruncated:

@@ -1,10 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cyclocert.errors import ArithmeticOverflowError, NonUnitConstantTermError
 from cyclocert.series import TruncatedSeries
 
-from oracles import invert_series
+from oracles import invert_series, one_minus_power_loop
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=64)
 # inverse coefficients can grow like 9 * 10**(i-1), so keep inversion inputs
@@ -126,6 +128,23 @@ class TestApplyOneMinusPower:
         a = TruncatedSeries(tuple(coeffs))
         assert a.apply_one_minus_power(d, 1).apply_one_minus_power(d, -1) == a
         assert a.apply_one_minus_power(d, -1).apply_one_minus_power(d, 1) == a
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 63, 64, 65, 1000, 4095, 4096, 4097, 6000])
+    def test_long_series_match_the_loop(self, d):
+        # several of the kernels' chunks, whichever path d selects
+        rng = random.Random(d)
+        coeffs = [rng.randint(-3, 3) for _ in range(3 * 4096 + 17)]
+        a = TruncatedSeries(tuple(coeffs))
+        for sign in (1, -1):
+            got = a.apply_one_minus_power(d, sign)
+            assert list(got.coeffs) == one_minus_power_loop(coeffs, d, sign), sign
+
+    def test_overflow_detected(self):
+        big = 2**62
+        with pytest.raises(ArithmeticOverflowError):
+            series(big, 0, big).apply_one_minus_power(2, -1)
+        with pytest.raises(ArithmeticOverflowError):
+            series(-big, 0, big).apply_one_minus_power(2, 1)
 
     @given(coeff_lists, st.integers(min_value=1, max_value=16))
     def test_agrees_with_mul(self, coeffs, d):
