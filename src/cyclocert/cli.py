@@ -31,7 +31,7 @@ from .arith import (
     radical,
 )
 from .cyclo import DEFAULT_DEGREE_BUDGET, a_coeff, c_coeff, phi_poly
-from .errors import CycloError, DocumentFormatError, MACHINE_INT_MAX
+from .errors import CycloError, DegreeBudgetExceededError, DocumentFormatError, MACHINE_INT_MAX
 from .hunter import (
     Certificate,
     TargetPlan,
@@ -203,19 +203,8 @@ def parse_document(text: str) -> CertificateDocument:
     ratio_num = _require_int(data, "ratio_num", 1)
     ratio_den = _require_int(data, "ratio_den", 1)
 
-    q1 = q2 = None
-    if mu_kernel == 1:
-        kernel_primes = factor(kernel).primes()
-        if len(kernel_primes) >= 2:
-            q1, q2 = kernel_primes[0], kernel_primes[1]
     plan = TargetPlan(
-        kernel=kernel,
-        mu_kernel=mu_kernel,
-        t=t,
-        delta=delta,
-        predicted_value=v,
-        q1=q1,
-        q2=q2,
+        kernel=kernel, mu_kernel=mu_kernel, t=t, delta=delta, predicted_value=v
     )
     certificate = Certificate(
         mode=mode,
@@ -336,7 +325,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     first_seen: dict[int, tuple[int, int]] = {}
     for multiplier in range(1, args.nmax + 1):
         n = args.m * multiplier
-        coeffs = phi_poly(n, degree_budget=budget).coeffs
+        coeffs = _phi_by_stretch(n, budget)
         top = len(coeffs) - 1
         if args.kmax is not None:
             top = min(top, args.kmax)
@@ -393,15 +382,19 @@ def _phi_by_division(n: int, cache: dict[int, tuple[int, ...]]) -> tuple[int, ..
 
 
 def _phi_by_stretch(n: int, budget: int) -> tuple[int, ...]:
-    # compute over the squarefree kernel, then spread exponents by n/kernel
+    # Phi_n(x) = Phi_kernel(x**s) with s = n / kernel: compute over the
+    # squarefree kernel, then spread the exponents.  phi(n) = s * phi(kernel),
+    # so phi_poly(n)'s budget is budget // s for the kernel; phi(n) exceeds
+    # it past 2 * budget**2, which is checked before factor runs.
+    if n > 2 * budget * budget:
+        raise DegreeBudgetExceededError(f"phi({n}) certainly exceeds budget {budget}")
     kernel = radical(factor(n)).value()
-    base = phi_poly(kernel, degree_budget=budget).coeffs
     s = n // kernel
+    base = phi_poly(kernel, degree_budget=budget // s).coeffs
     if s == 1:
         return base
     out = [0] * ((len(base) - 1) * s + 1)
-    for i, coefficient in enumerate(base):
-        out[i * s] = coefficient
+    out[::s] = base
     return tuple(out)
 
 

@@ -152,7 +152,10 @@ def _truncated_product(
         out[lo - start :] = map(
             sub if sign == 1 else add, out[lo - start :], base[lo - d : truncation - d]
         )
-    if max(out) > MACHINE_INT_MAX or min(out) < _MIN:
+    # each output coefficient sums at most 1 + len(high) dense ones
+    if (1 + len(high)) * dense.bound > MACHINE_INT_MAX and (
+        max(out) > MACHINE_INT_MAX or min(out) < _MIN
+    ):
         raise ArithmeticOverflowError("coefficient outside the 64-bit range")
     return TruncatedSeries(tuple(out))
 
@@ -166,7 +169,8 @@ def phi_truncated(n: FactoredInteger, truncation: int, start: int = 0) -> Trunca
     Cost is O(#low * truncation + #high * (truncation - start)), with low
     divisors 2d < truncation and high ones the rest, never governed by n
     itself.  Every coefficient of the dense low-divisor product, after each
-    step, and every returned coefficient is checked against the 64-bit range.
+    step, and every returned coefficient is checked against the 64-bit range,
+    by a scan only where a carried magnitude bound does not prove it.
     """
     return _truncated_product(n, truncation, start, 1)
 
@@ -178,7 +182,9 @@ def inverse_phi_truncated(
     return _truncated_product(n, truncation, start, -1)
 
 
-@lru_cache(maxsize=None)
+# a_coeff loops reuse one n and bench at most two entries; unbounded, a scan
+# would keep every polynomial it visits
+@lru_cache(maxsize=16)
 def _phi_poly_cached(n: int) -> CyclotomicPoly:
     if n == 1:
         return CyclotomicPoly(1, (-1, 1))
@@ -202,57 +208,35 @@ def phi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> Cyclotomi
     return _phi_poly_cached(n)
 
 
-def _poly_mul_checked(a: list[int], b: tuple[int, ...]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if av == 0:
-            continue
-        for j, bv in enumerate(b):
-            if bv:
-                out[i + j] += av * bv
-    for v in out:
-        if v > MACHINE_INT_MAX or v < _MIN:
-            raise ArithmeticOverflowError("polynomial coefficient outside the 64-bit range")
-    return out
-
-
-@lru_cache(maxsize=None)
-def _psi_poly_cached(n: int) -> PsiPoly:
-    if n == 1:
-        return PsiPoly(1, (1,))
-    prod = [1]
-    for d in sorted(d for d in range(1, n) if n % d == 0):
-        prod = _poly_mul_checked(prod, _phi_poly_cached(d).coeffs)
-    fac = factor(n)
-    assert len(prod) - 1 == n - euler_phi(fac)
-    return PsiPoly(n, tuple(prod))
-
-
-def psi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> PsiPoly:
-    """Exact Psi_n as the product of Phi_d over proper divisors d of n."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > degree_budget:
-        raise DegreeBudgetExceededError(f"{n} exceeds degree budget {degree_budget}")
-    return _psi_poly_cached(n)
-
-
 @lru_cache(maxsize=None)
 def _c_table_cached(n: int) -> InverseCoefficientTable:
-    psi = _psi_poly_cached(n)
-    period = [0] * n
-    for j, coefficient in enumerate(psi.coeffs):
-        period[j] = -coefficient
-    return InverseCoefficientTable(n, tuple(period))
+    if n == 1:
+        return InverseCoefficientTable(1, (-1,))
+    return InverseCoefficientTable(n, inverse_phi_truncated(factor(n), n).coeffs)
 
 
 def c_table(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> InverseCoefficientTable:
-    """The length-n period of c(n, .), read off from Psi_n."""
+    """The length-n period of c(n, .): 1/Phi_n expanded modulo x**n.
+
+    The expansion is the truncated divisor product, so for n > 1 it costs
+    O(n) per divisor d of n with 2d < n.
+    """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > degree_budget:
         raise DegreeBudgetExceededError(f"{n} exceeds degree budget {degree_budget}")
     return _c_table_cached(n)
+
+
+def psi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> PsiPoly:
+    """Exact Psi_n, read off the period of c(n, .).
+
+    1/Phi_n = -Psi_n / (1 - x**n) and deg Psi_n = n - phi(n) < n, so Psi_n
+    is the negated prefix of length n - phi(n) + 1 of that period.
+    """
+    period = c_table(n, degree_budget=degree_budget).period
+    degree = n - euler_phi(factor(n))
+    return PsiPoly(n, tuple(-c for c in period[: degree + 1]))
 
 
 def a_coeff(n: int, k: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> int:

@@ -84,8 +84,7 @@ class TargetPlan:
 
     predicted_value = c(kernel, 1 + delta) - mu_kernel * t * c(kernel, delta)
     with residues mod kernel and c(kernel, delta) != 0, so the t-term really
-    contributes.  q1 < q2 are the two smallest prime divisors of the kernel,
-    recorded only when mu_kernel = +1 (they set the interval floor).
+    contributes.
     """
 
     kernel: int
@@ -93,8 +92,6 @@ class TargetPlan:
     t: int
     delta: int
     predicted_value: int
-    q1: int | None = None
-    q2: int | None = None
 
 
 @dataclass(frozen=True)
@@ -134,12 +131,6 @@ class VerificationReport:
     reasons: tuple[str, ...] = ()
 
 
-def _kernel_of(m: int) -> tuple[FactoredInteger, int, int]:
-    fac = radical(factor(m))
-    kernel = fac.value()
-    return fac, kernel, mobius(fac)
-
-
 def plan_target(
     m: int, v: int, mode: str = MODE_A, *, degree_budget: int = DEFAULT_DEGREE_BUDGET
 ) -> TargetPlan:
@@ -154,7 +145,8 @@ def plan_target(
         raise ValueError(f"mode must be '{MODE_A}' or '{MODE_C}', got {mode!r}")
     if m < 2:
         raise ValueError(f"m must be at least 2 after kernel reduction, got {m}")
-    kernel_fac, kernel, mu = _kernel_of(m)
+    kernel_fac = radical(factor(m))
+    kernel, mu = kernel_fac.value(), mobius(kernel_fac)
     period = c_table(kernel, degree_budget=degree_budget).period
     best: tuple[int, int] | None = None
     for delta in range(kernel):
@@ -175,11 +167,7 @@ def plan_target(
     t, delta = best
     predicted = period[(delta + 1) % kernel] - mu * t * period[delta]
     assert predicted == v
-    q1 = q2 = None
-    if mu == 1:
-        primes = kernel_fac.primes()
-        q1, q2 = primes[0], primes[1]
-    return TargetPlan(kernel, mu, t, delta, predicted, q1, q2)
+    return TargetPlan(kernel, mu, t, delta, predicted)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -225,12 +213,13 @@ def build_certificate(
     num, den = ratio.numerator, ratio.denominator
 
     # n >= delta / (2 - r) guarantees p_t + delta < 2*p_1; when mu = +1 the
-    # classical floor n >= q2 / (2 - r) is kept as well.
+    # classical floor n >= q2 / (2 - r) is kept as well, q2 the second
+    # smallest prime of the kernel (mu = +1 means it has an even number).
     floor_n = 1
     if plan.delta:
         floor_n = max(floor_n, _ceil_div(plan.delta * den, 2 * den - num))
     if plan.mu_kernel == 1:
-        floor_n = max(floor_n, _ceil_div(plan.q2 * den, 2 * den - num))
+        floor_n = max(floor_n, _ceil_div(kernel_fac.primes()[1] * den, 2 * den - num))
 
     while True:
         cluster = _cluster_cached(plan.kernel, plan.t, num, den, floor_n, scan_ceiling)

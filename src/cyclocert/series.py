@@ -8,15 +8,21 @@ leaves it, so the fixed-width policy fails loudly instead of growing silently.
 Multiplication and inversion are the naive O(T^2) loops, which only the
 tests use.  The hot path, multiplying or dividing by a binomial
 1 - x**d, is apply_one_minus_power: O(T) element operations run inside
-slice and accumulate calls over chunks of at most _CHUNK coefficients, plus
-one range check of all T results per step.  Truncated cyclotomic products
-call it only for divisors with 2d < T (see cyclo), so a product costs
-O(T) per such divisor.
+slice and accumulate calls over chunks of at most _CHUNK coefficients.
+Its results are range checked through a proven bound B >= max |c_i| that
+each step carries forward: a multiplication at most doubles it, a division
+multiplies it by the number of terms in a running sum, floor((T-1)/d) + 1.
+All T coefficients are scanned only when B leaves the 64-bit range (and B
+then drops to the exact maximum), or when the series was built without a
+bound; either way a step raises exactly when one of its coefficients
+leaves the range.  Truncated cyclotomic products call it only for
+divisors with 2d < T (see cyclo), so a product costs O(T) per such
+divisor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add, sub
 
@@ -30,9 +36,15 @@ _CHUNK = 4096
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Integer coefficients of a power series modulo x**T, T = len(coeffs)."""
+    """Integer coefficients of a power series modulo x**T, T = len(coeffs).
+
+    bound, when known, is at least the largest |coefficient|; it lets
+    apply_one_minus_power skip its range scan.  It takes no part in
+    equality or hashing.
+    """
 
     coeffs: tuple[int, ...]
+    bound: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.coeffs:
@@ -43,7 +55,7 @@ class TruncatedSeries:
         """The unit series 1 at the given truncation."""
         if truncation < 1:
             raise ValueError(f"truncation must be at least 1, got {truncation}")
-        return cls((1,) + (0,) * (truncation - 1))
+        return cls((1,) + (0,) * (truncation - 1), 1)
 
     @classmethod
     def from_coeffs(cls, values, truncation: int) -> "TruncatedSeries":
@@ -109,8 +121,9 @@ class TruncatedSeries:
 
         Multiplication is c'_i = c_i - c_{i-d}; division is the running-sum
         recurrence c'_i = c_i + c'_{i-d}.  A d at or beyond the truncation is
-        a no-op since 1 - x**d = 1 mod x**T.  The whole result is range
-        checked once, after the step.
+        a no-op since 1 - x**d = 1 mod x**T.  The result is range checked
+        after the step, by a scan of every coefficient only where the
+        carried bound does not already prove it (see the module docstring).
         """
         if d < 1:
             raise ValueError(f"exponent d must be at least 1, got {d}")
@@ -119,15 +132,22 @@ class TruncatedSeries:
         if d >= len(self.coeffs):
             return self
         c = list(self.coeffs)
+        bound = self.bound
         if sign == 1:
             _multiply_in_place(c, d)
-        elif d * d < _CHUNK:
-            _divide_small_in_place(c, d)
+            growth = 2
         else:
-            _divide_in_place(c, d)
-        if max(c) > MACHINE_INT_MAX or min(c) < _MIN:
-            raise ArithmeticOverflowError("coefficient outside the 64-bit range")
-        return TruncatedSeries(tuple(c))
+            if d * d < _CHUNK:
+                _divide_small_in_place(c, d)
+            else:
+                _divide_in_place(c, d)
+            growth = (len(c) - 1) // d + 1
+        if bound is None or bound * growth > MACHINE_INT_MAX:
+            top, bottom = max(c), min(c)
+            if top > MACHINE_INT_MAX or bottom < _MIN:
+                raise ArithmeticOverflowError("coefficient outside the 64-bit range")
+            return TruncatedSeries(tuple(c), max(top, -bottom))
+        return TruncatedSeries(tuple(c), bound * growth)
 
 
 def _multiply_in_place(c: list[int], d: int) -> None:

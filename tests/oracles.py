@@ -51,6 +51,16 @@ def cyclotomic_by_division(n: int) -> list[int]:
     return poly
 
 
+def psi_by_product(n: int) -> list[int]:
+    """Psi_n = (x**n - 1) / Phi_n as the schoolbook product of Phi_d over
+    the proper divisors d of n."""
+    out = [1]
+    for d in range(1, n):
+        if n % d == 0:
+            out = poly_mul(out, cyclotomic_by_division(d))
+    return out
+
+
 def invert_series(poly: list[int], order: int) -> list[int]:
     """First `order` Taylor coefficients of 1/poly; constant term must be +-1."""
     a0 = poly[0]

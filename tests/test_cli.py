@@ -231,6 +231,19 @@ class TestScanCommand:
         assert code == 0
         assert out.splitlines()[0].split() == ["value", "n", "k"]
 
+    def test_degree_budget_counts_the_stretch(self, capsys, monkeypatch):
+        # Phi_12(x) = Phi_6(x**2): degree 4, twice the kernel's
+        monkeypatch.setenv("CYCLO_DEGREE_BUDGET", "4")
+        assert run_cli(capsys, "scan", "--m", "12", "--nmax", "1")[0] == 0
+        monkeypatch.setenv("CYCLO_DEGREE_BUDGET", "3")
+        code, _, err = run_cli(capsys, "scan", "--m", "12", "--nmax", "1")
+        assert code == 2 and "budget" in err
+
+    def test_huge_prime_modulus_rejected_before_factoring(self, capsys):
+        # trial division of this 63-bit prime would take minutes
+        code, _, err = run_cli(capsys, "scan", "--m", "9223372036854775783", "--nmax", "1")
+        assert code == 2 and "budget" in err
+
 
 class TestBenchCommand:
     def test_strategies_agree(self, capsys):

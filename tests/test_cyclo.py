@@ -23,6 +23,7 @@ from oracles import (
     invert_series,
     mul_series,
     poly_mul,
+    psi_by_product,
     sieve_primes,
 )
 
@@ -148,6 +149,13 @@ class TestCTable:
             for k in range(5 * n + 1):
                 assert c_coeff(n, k) == oracle[k], (n, k)
                 assert c_coeff(n, k) == c_coeff(n, k + n), (n, k)
+
+    @pytest.mark.parametrize("n", [1, 7, 49, 2 * 3 * 5 * 7, 1155, 2310, 3003])
+    def test_period_and_psi_against_product_oracle(self, n):
+        # 1/Phi_n = -Psi_n / (1 - x**n), so the period is -Psi_n padded to n
+        psi = psi_by_product(n)
+        assert list(psi_poly(n).coeffs) == psi
+        assert list(c_table(n).period) == [-c for c in psi] + [0] * (n - len(psi))
 
     def test_tail_zero_window(self):
         for n in range(1, 61):

@@ -31,8 +31,10 @@ class TestPlanTarget:
     def test_two_odd_primes_kernel(self):
         plan = plan_target(15, -2)
         assert plan.mu_kernel == 1
-        assert (plan.q1, plan.q2) == (3, 5)
         assert (plan.t, plan.delta) == (2, 2)
+        # mu = +1 sets the cluster floor q2 / (2 - r) = 8 * 5 from the
+        # kernel's second prime; without it n = 17 would already hold 31
+        assert build_certificate(15, -1, "a").cluster.n == 8 * 5
 
     def test_even_kernel(self):
         plan = plan_target(6, 5)

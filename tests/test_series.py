@@ -146,6 +146,44 @@ class TestApplyOneMinusPower:
         with pytest.raises(ArithmeticOverflowError):
             series(-big, 0, big).apply_one_minus_power(2, 1)
 
+    def test_overflow_raised_at_the_first_step_out_of_range(self):
+        # divisions by 1 - x and 1 - x**2, with multiplications by 1 - x**3
+        # between them, leave the 64-bit range only many steps in; the
+        # carried bound must neither hide that step nor raise earlier
+        got = TruncatedSeries.one(96)
+        exact = list(got.coeffs)
+        for index, (d, sign) in enumerate([(1, -1), (2, -1), (1, -1), (3, 1)] * 40):
+            exact = one_minus_power_loop(exact, d, sign)
+            if max(abs(c) for c in exact) > 2**63 - 1:
+                with pytest.raises(ArithmeticOverflowError):
+                    got.apply_one_minus_power(d, sign)
+                break
+            got = got.apply_one_minus_power(d, sign)
+            assert list(got.coeffs) == exact
+            assert got.bound >= max(abs(c) for c in exact)
+        else:
+            pytest.fail("the chain never left the 64-bit range")
+        assert index > 20
+
+    @pytest.mark.parametrize(
+        "values, d, sign",
+        [((2**62, 0, 0, 0), 1, 1), ((1 - 2**62,) * 7, 4, -1)],
+    )
+    def test_second_step_overflows_by_the_tight_growth(self, values, d, sign):
+        # the first step scans the bare series and carries its exact maximum
+        # M; the second reaches exactly 2M (multiplication) or, with
+        # floor(6/4) + 1 = 2 terms per running sum, 3M/2 (division)
+        first = series(*values).apply_one_minus_power(d, sign)
+        assert first.bound == max(abs(c) for c in first.coeffs)
+        with pytest.raises(ArithmeticOverflowError):
+            first.apply_one_minus_power(d, sign)
+
+    def test_bound_takes_no_part_in_equality(self):
+        carried = TruncatedSeries.one(5).apply_one_minus_power(2, -1)
+        bare = series(1, 0, 1, 0, 1)
+        assert carried.bound is not None and bare.bound is None
+        assert carried == bare and hash(carried) == hash(bare)
+
     @given(coeff_lists, st.integers(min_value=1, max_value=16))
     def test_agrees_with_mul(self, coeffs, d):
         a = TruncatedSeries(tuple(coeffs))
