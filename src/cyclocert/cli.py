@@ -326,13 +326,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
     for multiplier in range(1, args.nmax + 1):
         n = args.m * multiplier
         coeffs = _phi_by_stretch(n, budget)
-        top = len(coeffs) - 1
         if args.kmax is not None:
-            top = min(top, args.kmax)
-        for k in range(top + 1):
-            value = coeffs[k]
-            if value not in first_seen:
-                first_seen[value] = (n, k)
+            coeffs = coeffs[: max(0, args.kmax + 1)]
+        new = set(coeffs).difference(first_seen)
+        if new:
+            # built from the top down, so each value keeps its smallest k
+            first = dict(zip(reversed(coeffs), range(len(coeffs) - 1, -1, -1)))
+            for value in new:
+                first_seen[value] = (n, first[value])
     rows = [(value, n, k) for value, (n, k) in sorted(first_seen.items())]
     if args.json:
         print(json.dumps([{"value": v, "n": n, "k": k} for v, n, k in rows]))

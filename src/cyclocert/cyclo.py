@@ -20,15 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, sub
 
 from .arith import FactoredInteger, euler_phi, factor, radical
-from .errors import ArithmeticOverflowError, DegreeBudgetExceededError, MACHINE_INT_MAX
+from .errors import DegreeBudgetExceededError
 from .series import TruncatedSeries
 
 DEFAULT_DEGREE_BUDGET = 1_000_000
-
-_MIN = -MACHINE_INT_MAX
 
 
 @dataclass(frozen=True)
@@ -123,41 +120,36 @@ def _truncated_product(
     """Coefficients start..truncation-1 of the product of (1 - x**d)**e_d,
     e_d = exponent * mu(n/d), over the divisors d of n below the truncation.
 
-    A divisor is low when 2d < truncation and high otherwise.  The low
-    factors are applied densely, all of them multiplications first: that
-    keeps the partial products near the size of the result instead of
-    letting the running sums of the divisions grow first.  A high factor is
-    1 - e_d * x**d modulo x**truncation and any product of two of them
-    vanishes, so their product is 1 - sum of e_d * x**d, and coefficient k
-    of the result is dense[k] - sum over high d <= k of e_d * dense[k - d],
-    computed only for the requested k.
+    A divisor is low when 2d < truncation and high otherwise.  A high factor
+    is 1 - e_d * x**d modulo x**truncation and any product of two of them
+    vanishes, so their product is 1 - sum of e_d * x**d: every high divisor
+    is seeded into the starting series as the term -e_d at index d, at O(1).
+    The factors commute, so the low ones are then applied densely to that
+    series, all of them multiplications first: that keeps the partial
+    products near the size of the result instead of letting the running
+    sums of the divisions grow first.  The partial products therefore
+    include the seeded terms, and so does their 64-bit range check.
     """
     if n.is_one:
         raise ValueError("the Mobius product form requires n > 1")
     if not 0 <= start < truncation:
         raise ValueError(f"start must lie in [0, {truncation}), got {start}")
     low: list[tuple[int, int]] = []
-    high: list[tuple[int, int]] = []
+    seed = [0] * truncation
+    seed[0] = 1
     for d, mu in _mobius_unit_divisors(n, truncation - 1):
-        (low if 2 * d < truncation else high).append((d, exponent * mu))
-    dense = TruncatedSeries.one(truncation)
+        sign = exponent * mu
+        if 2 * d < truncation:
+            low.append((d, sign))
+        else:
+            seed[d] = -sign
+    # distinct high d give distinct indices, so every entry is 0 or +-1; the
+    # list goes before the dense steps, which hold three arrays of its length
+    dense = TruncatedSeries(tuple(seed), 1)
+    del seed
     for d, sign in sorted(low, key=lambda step: (-step[1], step[0])):
         dense = dense.apply_one_minus_power(d, sign)
-    if not high:
-        return dense if start == 0 else TruncatedSeries(dense.coeffs[start:])
-    base = dense.coeffs
-    out = list(base[start:])
-    for d, sign in high:
-        lo = max(start, d)
-        out[lo - start :] = map(
-            sub if sign == 1 else add, out[lo - start :], base[lo - d : truncation - d]
-        )
-    # each output coefficient sums at most 1 + len(high) dense ones
-    if (1 + len(high)) * dense.bound > MACHINE_INT_MAX and (
-        max(out) > MACHINE_INT_MAX or min(out) < _MIN
-    ):
-        raise ArithmeticOverflowError("coefficient outside the 64-bit range")
-    return TruncatedSeries(tuple(out))
+    return dense if start == 0 else TruncatedSeries(dense.coeffs[start:])
 
 
 def phi_truncated(n: FactoredInteger, truncation: int, start: int = 0) -> TruncatedSeries:
@@ -166,11 +158,12 @@ def phi_truncated(n: FactoredInteger, truncation: int, start: int = 0) -> Trunca
     Applies (1 - x**d)**mu(n/d) for every divisor d below the truncation with
     squarefree cofactor; all other divisors contribute 1.  The result holds
     coefficients start..truncation-1, so it has length truncation - start.
-    Cost is O(#low * truncation + #high * (truncation - start)), with low
-    divisors 2d < truncation and high ones the rest, never governed by n
-    itself.  Every coefficient of the dense low-divisor product, after each
-    step, and every returned coefficient is checked against the 64-bit range,
-    by a scan only where a carried magnitude bound does not prove it.
+    Cost is O(#low * truncation + #high), with low divisors 2d < truncation
+    and high ones the rest (each a single seeded term), never governed by n
+    itself.  Every coefficient of the dense product (the low factors and the
+    seeded high ones), after each step, and every returned coefficient is
+    checked against the 64-bit range, by a scan only where a carried
+    magnitude bound does not prove it.
     """
     return _truncated_product(n, truncation, start, 1)
 
@@ -192,10 +185,10 @@ def _phi_poly_cached(n: int) -> CyclotomicPoly:
     phi = euler_phi(fac)
     half = (phi + 1) // 2  # ceil(phi/2); self-reciprocality supplies the rest
     lower = phi_truncated(fac, half + 1).coeffs
-    coeffs = list(lower) + [0] * (phi - half)
-    for k in range(half + 1, phi + 1):
-        coeffs[k] = lower[phi - k]
-    return CyclotomicPoly(n, tuple(coeffs))
+    if phi == half:  # n = 2: lower is all of Phi_n, and a -1 stop would wrap
+        return CyclotomicPoly(n, lower)
+    # a(n, k) = a(n, phi - k) for k in half+1..phi
+    return CyclotomicPoly(n, lower + lower[phi - half - 1 :: -1])
 
 
 def phi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> CyclotomicPoly:

@@ -233,11 +233,9 @@ def build_certificate(
     if needs_q:
         q = next_prime_above(2 * p_first)
 
-    n_value = kernel_fac
-    for p in cluster.primes:
-        n_value = n_value * FactoredInteger(((p, 1),))
-    if q is not None:
-        n_value = n_value * FactoredInteger(((q, 1),))
+    # the cluster primes ascend and q > 2*p_1 exceeds them all
+    extra = cluster.primes if q is None else cluster.primes + (q,)
+    n_value = kernel_fac * FactoredInteger(tuple((p, 1) for p in extra))
 
     k = p_last + plan.delta
     stretch = m // plan.kernel
@@ -310,12 +308,11 @@ def verify_certificate(
     The product is expanded to truncation k + 1 and read at k alone, or with
     full_window to 2*p_1 and read on [min(k, p_t), 2*p_1).  Divisors d of N
     with 2d below that truncation (here the divisors of the kernel) cost
-    O(truncation) each; the others (here the cluster primes) cost one step
-    per coefficient read, W = 2*p_1 - p_t of them for the full window.  An
-    "overflow" reason means a coefficient of the dense low-divisor product,
-    after any step, or one of the requested coefficients left the signed
-    64-bit range; coefficients outside the requested range are never
-    completed, so they are not checked.
+    O(truncation) each.  Each other divisor (here the cluster primes) is
+    seeded into the product as a single term at O(1), so either check costs
+    O(#low * truncation + t).  An "overflow" reason means a coefficient of
+    the dense product (the seeded high terms times the low factors applied
+    so far), after any step, left the signed 64-bit range.
     """
     reasons: list[str] = []
 

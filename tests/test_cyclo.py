@@ -48,9 +48,35 @@ def split_products(draw) -> tuple[FactoredInteger, int, int]:
     return n, truncation, draw(st.integers(min_value=0, max_value=truncation - 1))
 
 
+@st.composite
+def seeded_products(draw) -> tuple[FactoredInteger, int, int]:
+    """(n, truncation, start) where n has two to six prime divisors in
+    [truncation/2, truncation), each a seeded high divisor, and start lies
+    between the smallest and the largest, so the window read begins below
+    some seeded terms and above others."""
+    truncation = draw(st.integers(min_value=20, max_value=300))
+    high_primes = [p for p in PRIMES_BELOW_300 if truncation <= 2 * p < 2 * truncation]
+    chosen = sorted(
+        draw(st.lists(st.sampled_from(high_primes), min_size=2, max_size=6, unique=True))
+    )
+    exponents = {
+        2: draw(st.integers(min_value=1, max_value=3)),
+        3: draw(st.integers(min_value=0, max_value=2)),
+        5: draw(st.integers(min_value=0, max_value=1)),
+        7: draw(st.integers(min_value=0, max_value=1)),
+    }
+    exponents.update((p, 1) for p in chosen)
+    n = FactoredInteger(tuple(sorted((p, e) for p, e in exponents.items() if e)))
+    return n, truncation, draw(st.integers(min_value=chosen[0], max_value=chosen[-1] - 1))
+
+
 class TestPhiPoly:
     def test_n_equals_one(self):
         assert phi_poly(1).coeffs == (-1, 1)
+
+    def test_n_equals_two(self):
+        # phi(2) = 1 = ceil(phi/2): nothing to mirror
+        assert phi_poly(2).coeffs == (1, 1)
 
     def test_hexagonal(self):
         assert phi_poly(6).coeffs == (1, -1, 1)
@@ -210,6 +236,13 @@ class TestStartOffset:
             full = expand(n, truncation)
             assert list(full.coeffs) == divisor_product(n.value(), truncation, exponent)
             assert expand(n, truncation, start).coeffs == full.coeffs[start:]
+
+    @given(seeded_products())
+    def test_high_divisors_on_both_sides_of_start(self, case):
+        n, truncation, start = case
+        for expand, exponent in ((phi_truncated, 1), (inverse_phi_truncated, -1)):
+            expected = divisor_product(n.value(), truncation, exponent)
+            assert list(expand(n, truncation, start).coeffs) == expected[start:]
 
     def test_start_outside_the_truncation_rejected(self):
         for start in (-1, 8):

@@ -161,6 +161,20 @@ class TestPredictWindow:
         for i in dead:
             assert window[i] == 0
 
+    def test_full_window_of_a_wide_cluster(self):
+        # kernel 30 times t = 200 primes = 1 (mod 30) in [T/2, T), T = 2*p_1:
+        # every prime is a high divisor, seeded into the series, and the
+        # window is read from starts above, between and below them
+        for mode, expand in (("a", phi_truncated), ("c", inverse_phi_truncated)):
+            cert = build_certificate(30, 200, mode)
+            primes, truncation = cert.cluster.primes, cert.truncation
+            assert len(primes) == 200 and 2 * primes[0] == truncation
+            window = predict_window(cert)
+            p_last = primes[-1]
+            for start in (p_last, primes[100], 0):
+                got = expand(cert.N, truncation, start).coeffs
+                assert got[p_last - start :] == window, (mode, start)
+
 
 class TestVerifyCertificate:
     def test_grid_sample_full_window(self):
