@@ -12,7 +12,6 @@ from .arith import (
     FactoredInteger,
     PrimeCluster,
     PrimeClusterSpec,
-    divisors_up_to,
     euler_phi,
     factor,
     find_prime_cluster,
@@ -33,7 +32,6 @@ from .cyclo import (
     phi_poly,
     phi_truncated,
     psi_poly,
-    radical_reduce,
 )
 from .errors import (
     ArithmeticOverflowError,
@@ -42,7 +40,6 @@ from .errors import (
     DocumentFormatError,
     MACHINE_INT_MAX,
     NoPlanFoundError,
-    NonUnitConstantTermError,
     SearchBoundExceededError,
 )
 from .hunter import (
@@ -74,7 +71,6 @@ __all__ = [
     "InverseCoefficientTable",
     "MACHINE_INT_MAX",
     "NoPlanFoundError",
-    "NonUnitConstantTermError",
     "PrimeCluster",
     "PrimeClusterSpec",
     "PsiPoly",
@@ -86,7 +82,6 @@ __all__ = [
     "build_certificate",
     "c_coeff",
     "c_table",
-    "divisors_up_to",
     "euler_phi",
     "factor",
     "find_prime_cluster",
@@ -101,6 +96,5 @@ __all__ = [
     "predict_window",
     "psi_poly",
     "radical",
-    "radical_reduce",
     "verify_certificate",
 ]

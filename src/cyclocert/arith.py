@@ -1,8 +1,8 @@
 """Elementary multiplicative number theory over machine-width integers.
 
 Factorization, the Mobius and Euler phi functions, squarefree kernels,
-deterministic primality, bounded divisor enumeration, and the search for
-clusters of primes p = 1 (mod m) inside an interval (n, r*n) with r < 2.
+deterministic primality, and the search for clusters of primes
+p = 1 (mod m) inside an interval (n, r*n) with r < 2.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class FactoredInteger:
             if e < 1:
                 raise ValueError(f"exponent of {p} must be at least 1, got {e}")
             last = p
-
-    @classmethod
-    def one(cls) -> "FactoredInteger":
-        return cls(())
 
     @property
     def is_one(self) -> bool:
@@ -175,31 +171,6 @@ def next_prime_above(x: int) -> int:
         if candidate > MACHINE_INT_MAX:
             raise ArithmeticOverflowError("next prime exceeds the 64-bit range")
     return candidate
-
-
-def divisors_up_to(n: FactoredInteger, bound: int) -> list[int]:
-    """All divisors d of n with d <= bound, ascending.
-
-    Grows the divisor list one prime power at a time, pruning products
-    against the bound; n itself is never expanded and no recursion is used,
-    so this stays cheap even when n has thousands of primes and bound is
-    small.
-    """
-    if bound < 1:
-        raise ValueError(f"bound must be at least 1, got {bound}")
-    found = [1]
-    for p, e in n.factors:
-        if p > bound:
-            break  # primes ascend, so no later one fits either
-        grown = []
-        for d in found:
-            for _ in range(e):
-                if d > bound // p:
-                    break
-                d *= p
-                grown.append(d)
-        found += grown
-    return sorted(found)
 
 
 @dataclass(frozen=True)

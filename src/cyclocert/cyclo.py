@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import FactoredInteger, euler_phi, factor, radical
+from .arith import FactoredInteger, euler_phi, factor
 from .errors import DegreeBudgetExceededError
 from .series import TruncatedSeries
 
@@ -175,13 +175,14 @@ def inverse_phi_truncated(
     return _truncated_product(n, truncation, start, -1)
 
 
+# keyed on the factorization phi_poly already holds for its budget check;
 # a_coeff loops reuse one n and bench at most two entries; unbounded, a scan
 # would keep every polynomial it visits
 @lru_cache(maxsize=16)
-def _phi_poly_cached(n: int) -> CyclotomicPoly:
+def _phi_poly_cached(fac: FactoredInteger) -> CyclotomicPoly:
+    n = fac.value()
     if n == 1:
         return CyclotomicPoly(1, (-1, 1))
-    fac = factor(n)
     phi = euler_phi(fac)
     half = (phi + 1) // 2  # ceil(phi/2); self-reciprocality supplies the rest
     lower = phi_truncated(fac, half + 1).coeffs
@@ -196,9 +197,10 @@ def phi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> Cyclotomi
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     _check_degree_budget(n, degree_budget)
-    if n > 1 and euler_phi(factor(n)) > degree_budget:
+    fac = factor(n)
+    if euler_phi(fac) > degree_budget:
         raise DegreeBudgetExceededError(f"phi({n}) exceeds degree budget {degree_budget}")
-    return _phi_poly_cached(n)
+    return _phi_poly_cached(fac)
 
 
 @lru_cache(maxsize=None)
@@ -248,22 +250,3 @@ def c_coeff(n: int, k: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> in
         raise ValueError(f"k must be nonnegative, got {k}")
     return c_table(n, degree_budget=degree_budget).lookup(k)
 
-
-def radical_reduce(n: int, k: int) -> tuple[int, int] | None:
-    """Reduce a(n, k) to the squarefree kernel of n.
-
-    Iterating Phi_pn(x) = Phi_n(x**p) for primes p | n gives
-    Phi_n(x) = Phi_kappa(x**s) with kappa the squarefree kernel and
-    s = n / kappa.  Hence a(n, k) = a(kappa, k/s) when s | k, and 0
-    otherwise; None encodes the flattened-zero case.
-    """
-    if n <= 1:
-        raise ValueError(f"n must exceed 1, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    fac = factor(n)
-    kernel = radical(fac).value()
-    s = n // kernel
-    if k % s:
-        return None
-    return kernel, k // s

@@ -17,10 +17,6 @@ class ArithmeticOverflowError(CycloError, OverflowError):
     """A computed value left the signed 64-bit machine range."""
 
 
-class NonUnitConstantTermError(CycloError, ValueError):
-    """Series inversion requires a constant term of +1 or -1."""
-
-
 class DegreeBudgetExceededError(CycloError):
     """An exact polynomial would exceed the configured degree budget."""
 

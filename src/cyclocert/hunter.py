@@ -221,12 +221,9 @@ def build_certificate(
     if plan.mu_kernel == 1:
         floor_n = max(floor_n, _ceil_div(kernel_fac.primes()[1] * den, 2 * den - num))
 
-    while True:
-        cluster = _cluster_cached(plan.kernel, plan.t, num, den, floor_n, scan_ceiling)
-        p_first, p_last = cluster.primes[0], cluster.primes[-1]
-        if p_last + plan.delta < 2 * p_first:
-            break
-        floor_n = cluster.n + 1  # window too tight; push the interval up
+    # 2*p_1 - p_t > (2 - r)*n >= delta by the floor, so one search suffices
+    cluster = _cluster_cached(plan.kernel, plan.t, num, den, floor_n, scan_ceiling)
+    p_first, p_last = cluster.primes[0], cluster.primes[-1]
 
     q: int | None = None
     needs_q = (mode == MODE_A) == (plan.t % 2 == 0)
@@ -334,6 +331,8 @@ def verify_certificate(
         flag(REASON_RATIO)
 
     # kernel: squarefree, matches the original modulus (m = 1 delegates to 2)
+    m_fac = factor(certificate.m_original)
+    true_kernel = radical(m_fac).value()
     kernel_fac: FactoredInteger | None = None
     if kernel >= 2:
         kernel_fac = factor(kernel)
@@ -341,7 +340,7 @@ def verify_certificate(
         if certificate.m_original == 1:
             matches = kernel == 2
         else:
-            matches = kernel == radical(factor(certificate.m_original)).value()
+            matches = kernel == true_kernel
         if not squarefree or not matches:
             flag(REASON_KERNEL)
         if mobius(kernel_fac) != plan.mu_kernel:
@@ -411,15 +410,12 @@ def verify_certificate(
         flag(REASON_TRUNCATION)
 
     # lift arithmetic back to the original modulus
-    true_kernel = radical(factor(certificate.m_original)).value()
     if certificate.stretch != certificate.m_original // true_kernel:
         flag(REASON_LIFT)
-    expected_lift = certificate.N * factor(max(certificate.stretch, 1))
-    if certificate.stretch < 1 or certificate.N_lifted != expected_lift:
+    lifted = (certificate.N_lifted, certificate.k_lifted)
+    if certificate.stretch < 1 or lift_to_modulus(certificate) != lifted:
         flag(REASON_LIFT)
-    if certificate.k_lifted != certificate.k_kernel * certificate.stretch:
-        flag(REASON_LIFT)
-    if not factor(certificate.m_original).divides(certificate.N_lifted):
+    if not m_fac.divides(certificate.N_lifted):
         flag(REASON_LIFT)
 
     # the independent recomputation: truncated divisor product over N alone,

@@ -1,16 +1,15 @@
 """Exact integer power series truncated at a fixed order.
 
 The truncation order T is the length of the coefficient tuple; index i holds
-the coefficient of x**i.  Every operation checks its results against the
-signed 64-bit range and raises ArithmeticOverflowError when a coefficient
-leaves it, so the fixed-width policy fails loudly instead of growing silently.
+the coefficient of x**i.  The one operation, apply_one_minus_power,
+multiplies or divides by a binomial 1 - x**d: O(T) element operations run
+inside slice and accumulate calls over chunks of at most _CHUNK
+coefficients.  It checks its results against the signed 64-bit range and
+raises ArithmeticOverflowError when a coefficient leaves it, so the
+fixed-width policy fails loudly instead of growing silently.
 
-Multiplication and inversion are the naive O(T^2) loops, which only the
-tests use.  The hot path, multiplying or dividing by a binomial
-1 - x**d, is apply_one_minus_power: O(T) element operations run inside
-slice and accumulate calls over chunks of at most _CHUNK coefficients.
-Its results are range checked through a proven bound B >= max |c_i| that
-each step carries forward: a multiplication at most doubles it, a division
+The check goes through a proven bound B >= max |c_i| that each step
+carries forward: a multiplication at most doubles it, a division
 multiplies it by the number of terms in a running sum, floor((T-1)/d) + 1.
 All T coefficients are scanned only when B leaves the 64-bit range (and B
 then drops to the exact maximum), or when the series was built without a
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add, sub
 
-from .errors import ArithmeticOverflowError, MACHINE_INT_MAX, NonUnitConstantTermError
+from .errors import ArithmeticOverflowError, MACHINE_INT_MAX
 
 _MIN = -MACHINE_INT_MAX
 
@@ -56,65 +55,6 @@ class TruncatedSeries:
         if truncation < 1:
             raise ValueError(f"truncation must be at least 1, got {truncation}")
         return cls((1,) + (0,) * (truncation - 1), 1)
-
-    @classmethod
-    def from_coeffs(cls, values, truncation: int) -> "TruncatedSeries":
-        """Build from an iterable, padding with zeros or truncating to T."""
-        vals = list(values)[:truncation]
-        vals.extend(0 for _ in range(truncation - len(vals)))
-        for v in vals:
-            if v > MACHINE_INT_MAX or v < _MIN:
-                raise ArithmeticOverflowError("coefficient outside the 64-bit range")
-        return cls(tuple(vals))
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs)
-
-    def coefficient(self, k: int) -> int:
-        if not 0 <= k < len(self.coeffs):
-            raise IndexError(f"coefficient index {k} outside truncation {len(self.coeffs)}")
-        return self.coeffs[k]
-
-    def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Convolution truncated to the shared order."""
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("cannot multiply series with different truncations")
-        t = len(self.coeffs)
-        out = [0] * t
-        b = other.coeffs
-        for i, av in enumerate(self.coeffs):
-            if av == 0:
-                continue
-            for j in range(t - i):
-                bv = b[j]
-                if bv:
-                    out[i + j] += av * bv
-        for v in out:
-            if v > MACHINE_INT_MAX or v < _MIN:
-                raise ArithmeticOverflowError("product coefficient outside the 64-bit range")
-        return TruncatedSeries(tuple(out))
-
-    def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse mod x**T; requires constant term +1 or -1."""
-        a = self.coeffs
-        a0 = a[0]
-        if a0 not in (1, -1):
-            raise NonUnitConstantTermError(f"constant term must be +1 or -1, got {a0}")
-        t = len(a)
-        inv = [0] * t
-        inv[0] = a0
-        for i in range(1, t):
-            acc = 0
-            for j in range(1, i + 1):
-                aj = a[j]
-                if aj:
-                    acc += aj * inv[i - j]
-            v = -a0 * acc
-            if v > MACHINE_INT_MAX or v < _MIN:
-                raise ArithmeticOverflowError("inverse coefficient outside the 64-bit range")
-            inv[i] = v
-        return TruncatedSeries(tuple(inv))
 
     def apply_one_minus_power(self, d: int, sign: int) -> "TruncatedSeries":
         """Multiply (sign=+1) or divide (sign=-1) by 1 - x**d, in O(T).

@@ -150,10 +150,6 @@ def trial_factor(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def brute_divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def cluster_scan_bruteforce(
     modulus: int, count: int, num: int, den: int, floor_n: int, limit: int
 ) -> tuple[int, list[int]] | None:

@@ -7,7 +7,6 @@ from cyclocert.arith import (
     FactoredInteger,
     PrimeCluster,
     PrimeClusterSpec,
-    divisors_up_to,
     euler_phi,
     factor,
     find_prime_cluster,
@@ -18,7 +17,7 @@ from cyclocert.arith import (
 )
 from cyclocert.errors import ArithmeticOverflowError, SearchBoundExceededError
 
-from oracles import brute_divisors, cluster_scan_bruteforce, sieve_primes, trial_factor
+from oracles import cluster_scan_bruteforce, sieve_primes, trial_factor
 
 
 class TestFactor:
@@ -146,34 +145,6 @@ class TestNextPrimeAbove:
             assert next_prime_above(x) == expected
 
 
-class TestDivisorsUpTo:
-    def test_examples(self):
-        assert divisors_up_to(factor(30), 10) == [1, 2, 3, 5, 6, 10]
-        assert divisors_up_to(factor(147963), 86) == [1, 3, 31, 37, 43]
-        assert divisors_up_to(factor(997), 1) == [1]
-
-    def test_never_materializes_value(self):
-        huge = FactoredInteger(((2, 1), (3, 1), (10**9 + 7, 5), (10**9 + 9, 5)))
-        assert divisors_up_to(huge, 7) == [1, 2, 3, 6]
-
-    def test_thousands_of_primes(self):
-        # far more primes than Python's default recursion limit allows frames
-        primes = sieve_primes(13000)[:1500]
-        fac = FactoredInteger(tuple((p, 1) for p in primes))
-        bound = primes[-1]
-        squarefree = [d for d in range(1, bound + 1) if all(e == 1 for _, e in factor(d).factors)]
-        assert divisors_up_to(fac, bound) == squarefree
-
-    @given(st.integers(min_value=1, max_value=5000))
-    def test_matches_bruteforce(self, n):
-        fac = factor(n)
-        assert divisors_up_to(fac, n) == brute_divisors(n)
-        count = 1
-        for _, e in fac.factors:
-            count *= e + 1
-        assert len(divisors_up_to(fac, n)) == count
-
-
 class TestPrimeCluster:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -212,6 +183,24 @@ class TestPrimeCluster:
         assert cluster.n >= 30
         brute = cluster_scan_bruteforce(3, 3, 15, 8, 30, 200)
         assert brute == (cluster.n, list(cluster.primes))
+
+    @given(
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=8),
+        st.data(),
+    )
+    def test_delta_floor_fits_the_window(self, modulus, count, data):
+        # the floor build_certificate sets, n >= delta / (2 - r), alone keeps
+        # p_t + delta below 2*p_1: 2*p_1 - p_t > (2 - r)*n >= delta
+        # den <= 64 (r >= 65/64) keeps each scan below n = 2 * 10**5
+        den = data.draw(st.integers(min_value=2, max_value=64), label="den")
+        num = data.draw(st.integers(min_value=den + 1, max_value=2 * den - 1), label="num")
+        delta = data.draw(st.integers(min_value=0, max_value=modulus - 1), label="delta")
+        floor_n = max(1, -(-delta * den // (2 * den - num)))
+        spec = PrimeClusterSpec(modulus, count, num, den, floor_n)
+        cluster = find_prime_cluster(spec)
+        self._assert_invariants(cluster, spec)
+        assert cluster.primes[-1] + delta < 2 * cluster.primes[0]
 
     def test_ceiling_error(self):
         with pytest.raises(SearchBoundExceededError):

@@ -193,6 +193,25 @@ class TestHuntAndVerify:
             if field == "k":
                 assert report["computed_value"] not in (None, 300)
 
+    @pytest.mark.parametrize("mode", ["a", "c"])
+    def test_verify_rejects_tampered_lift(self, capsys, tmp_path, mode):
+        path = tmp_path / "cert.json"
+        run_cli(capsys, "hunt", "--m", "12", "--value", "-3", "--mode", mode, "--out", str(path))
+        original = json.loads(path.read_text())
+        assert original["stretch"] == 2
+        extra_prime = sorted(original["N_lifted_factors"] + [[5, 1]])
+        for field, value in (
+            ("stretch", 1),
+            ("stretch", 3),
+            ("N_lifted_factors", original["N_factors"]),
+            ("N_lifted_factors", extra_prime),
+            ("k_lifted", original["k_lifted"] + 1),
+        ):
+            path.write_text(json.dumps(dict(original, **{field: value})))
+            code, out, err = run_cli(capsys, "verify", str(path), "--full-window")
+            assert (code, err) == (1, ""), (field, value, err)
+            assert json.loads(out)["reasons"] == ["lift"], (field, value)
+
     def test_verify_malformed_exits_2(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
         path.write_text("{not json")

@@ -12,7 +12,6 @@ from cyclocert.cyclo import (
     phi_poly,
     phi_truncated,
     psi_poly,
-    radical_reduce,
 )
 from cyclocert.errors import DegreeBudgetExceededError
 
@@ -25,6 +24,7 @@ from oracles import (
     poly_mul,
     psi_by_product,
     sieve_primes,
+    trial_factor,
 )
 
 PRIMES_BELOW_300 = sieve_primes(300)
@@ -263,27 +263,24 @@ class TestInversePhiTruncated:
             chosen = rng.sample(small_primes, rng.randint(3, 5))
             n = FactoredInteger(tuple((p, 1) for p in sorted(chosen)))
             truncation = rng.randint(2, 128)
-            forward = phi_truncated(n, truncation)
-            backward = inverse_phi_truncated(n, truncation)
-            assert forward.mul(backward).coeffs == (1,) + (0,) * (truncation - 1)
+            forward = phi_truncated(n, truncation).coeffs
+            backward = inverse_phi_truncated(n, truncation).coeffs
+            product = mul_series(forward, backward, truncation)
+            assert product == [1] + [0] * (truncation - 1)
 
 
 class TestRadicalReduce:
-    def test_examples(self):
-        assert radical_reduce(12, 2) == (6, 1)
-        assert a_coeff(12, 2) == a_coeff(6, 1) == -1
-        assert radical_reduce(12, 1) is None
-        assert radical_reduce(30, 17) == (30, 17)
-
     def test_agrees_with_stretching(self):
+        # Phi_n(x) = Phi_kernel(x**s), s = n / kernel: a(n, k) = a(kernel, k/s)
+        # when s | k, and 0 otherwise
         for n in range(2, 101):
+            kernel = 1
+            for p, _ in trial_factor(n):
+                kernel *= p
+            s = n // kernel
             for k in range(0, euler_phi(factor(n)) + 1):
-                reduced = radical_reduce(n, k)
-                if reduced is None:
-                    assert a_coeff(n, k) == 0, (n, k)
-                else:
-                    kernel, k2 = reduced
-                    assert a_coeff(n, k) == a_coeff(kernel, k2), (n, k)
+                expected = a_coeff(kernel, k // s) if k % s == 0 else 0
+                assert a_coeff(n, k) == expected, (n, k)
 
     def test_stretch_identity(self):
         # Phi_{p*n}(x) = Phi_n(x**p) for p | n, checked coefficientwise

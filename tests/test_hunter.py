@@ -9,6 +9,7 @@ from cyclocert.errors import SearchBoundExceededError
 from cyclocert.hunter import (
     REASON_CLUSTER,
     REASON_CONGRUENCE,
+    REASON_LIFT,
     REASON_PRIMALITY,
     REASON_Q_BOUND,
     REASON_VALUE,
@@ -298,3 +299,23 @@ class TestLift:
         assert cert.stretch == 2
         got = inverse_phi_truncated(cert.N_lifted, cert.k_lifted + 1)
         assert got.coeffs[cert.k_lifted] == cert.v
+
+    @pytest.mark.parametrize("mode", ["a", "c"])
+    @pytest.mark.parametrize(
+        "field, tamper",
+        [
+            ("stretch", lambda cert: 0),
+            ("stretch", lambda cert: 1),
+            ("stretch", lambda cert: cert.stretch + 1),
+            ("N_lifted", lambda cert: cert.N),
+            ("N_lifted", lambda cert: cert.N_lifted * factor(5)),
+            ("k_lifted", lambda cert: cert.k_lifted + 1),
+        ],
+    )
+    def test_tampered_lift_rejected(self, mode, field, tamper):
+        # kernel 6, stretch 2; 5 divides neither the kernel nor a prime = 1 mod 6
+        cert = build_certificate(12, -3, mode)
+        assert cert.stretch == 2 and 5 not in cert.N.primes()
+        report = verify_certificate(replace(cert, **{field: tamper(cert)}))
+        assert report.reasons == (REASON_LIFT,), (field, report.reasons)
+        assert report.computed_value == -3
