@@ -5,7 +5,6 @@ Commands:
   hunt    build a certificate for (m, v) and write it as a JSON document
   verify  independently recheck a certificate document
   scan    tabulate coefficient values observed among a(m*n, k)
-  bench   cross-validate and time the exact-polynomial strategies
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 usage or resource errors.  Output is deterministic for fixed flags; no
@@ -18,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +24,6 @@ from .arith import (
     DEFAULT_SCAN_CEILING,
     FactoredInteger,
     PrimeCluster,
-    euler_phi,
     factor,
     radical,
 )
@@ -156,6 +153,9 @@ def parse_document(text: str) -> CertificateDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        # a valid document nests three levels deep
+        raise DocumentFormatError("not a certificate: JSON nested too deeply") from exc
     if not isinstance(data, dict):
         raise DocumentFormatError("document must be a JSON object")
     unknown = set(data) - set(_DOCUMENT_KEYS) - {"verification"}
@@ -344,44 +344,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _proper_divisors(n: int) -> list[int]:
-    fac = factor(n)
-    divs = [1]
-    for p, e in fac.factors:
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(d for d in divs if d < n)
-
-
-def _poly_div_exact(numerator: list[int], denominator: tuple[int, ...]) -> list[int]:
-    # long division by a monic divisor with an exact-zero remainder
-    work = list(numerator)
-    dlen = len(denominator)
-    quotient = [0] * (len(work) - dlen + 1)
-    for i in range(len(quotient) - 1, -1, -1):
-        c = work[i + dlen - 1]
-        if c:
-            quotient[i] = c
-            for j in range(dlen - 1):
-                work[i + j] -= c * denominator[j]
-            work[i + dlen - 1] = 0
-    if any(work[: dlen - 1]):
-        raise ValueError("division left a nonzero remainder")
-    return quotient
-
-
-def _phi_by_division(n: int, cache: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-    # the product identity x**n - 1 = prod Phi_d, unwound by long division
-    got = cache.get(n)
-    if got is not None:
-        return got
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in _proper_divisors(n):
-        poly = _poly_div_exact(poly, _phi_by_division(d, cache))
-    result = tuple(poly)
-    cache[n] = result
-    return result
-
-
 def _phi_by_stretch(n: int, budget: int) -> tuple[int, ...]:
     # Phi_n(x) = Phi_kernel(x**s) with s = n / kernel: compute over the
     # squarefree kernel, then spread the exponents.  phi(n) = s * phi(kernel),
@@ -397,57 +359,6 @@ def _phi_by_stretch(n: int, budget: int) -> tuple[int, ...]:
     out = [0] * ((len(base) - 1) * s + 1)
     out[::s] = base
     return tuple(out)
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    budget = _env_degree_budget()
-    division_cache: dict[int, tuple[int, ...]] = {}
-    rows = []
-    for n in args.n:
-        euler_phi(factor(n))  # fail fast on absurd inputs before timing
-        started = time.perf_counter()
-        by_division = _phi_by_division(n, division_cache)
-        division_s = time.perf_counter() - started
-
-        started = time.perf_counter()
-        by_product = phi_poly(n, degree_budget=budget).coeffs
-        product_s = time.perf_counter() - started
-
-        started = time.perf_counter()
-        by_stretch = _phi_by_stretch(n, budget)
-        stretch_s = time.perf_counter() - started
-
-        if not (by_division == by_product == by_stretch):
-            print(f"strategy disagreement at n={n}", file=sys.stderr)
-            return 1
-        rows.append((n, division_s, product_s, stretch_s))
-    if args.json:
-        print(json.dumps(
-            [
-                {
-                    "n": n,
-                    "division_ms": round(d * 1000, 3),
-                    "mobius_product_ms": round(p * 1000, 3),
-                    "radical_stretch_ms": round(s * 1000, 3),
-                }
-                for n, d, p, s in rows
-            ]
-        ))
-    else:
-        print(f"{'n':>10}  {'division_ms':>12}  {'product_ms':>12}  {'stretch_ms':>12}")
-        for n, d, p, s in rows:
-            print(f"{n:>10}  {d * 1000:>12.3f}  {p * 1000:>12.3f}  {s * 1000:>12.3f}")
-    return 0
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list: {exc}") from exc
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("expected a comma-separated list of positive integers")
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,12 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--kmax", type=int, default=None)
     p_scan.add_argument("--json", action="store_true")
     p_scan.set_defaults(func=cmd_scan)
-
-    p_bench = sub.add_parser("bench", help="cross-validate and time exact-polynomial strategies")
-    p_bench.add_argument("--n", type=_int_list, required=True,
-                         help="comma-separated list of n values")
-    p_bench.add_argument("--json", action="store_true")
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

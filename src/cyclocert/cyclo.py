@@ -176,8 +176,8 @@ def inverse_phi_truncated(
 
 
 # keyed on the factorization phi_poly already holds for its budget check;
-# a_coeff loops reuse one n and bench at most two entries; unbounded, a scan
-# would keep every polynomial it visits
+# a_coeff loops reuse one n; unbounded, a scan would keep every polynomial it
+# visits
 @lru_cache(maxsize=16)
 def _phi_poly_cached(fac: FactoredInteger) -> CyclotomicPoly:
     n = fac.value()

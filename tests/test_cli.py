@@ -7,14 +7,17 @@ from pathlib import Path
 import pytest
 
 import cyclocert
+from cyclocert import cli
 from cyclocert.cli import (
     CertificateDocument,
     main,
     parse_document,
     serialize_document,
 )
+from cyclocert.cyclo import DEFAULT_DEGREE_BUDGET
 from cyclocert.errors import DocumentFormatError
 from cyclocert.hunter import build_certificate, verify_certificate
+from oracles import cyclotomic_by_division
 
 
 def run_cli(capsys, *argv):
@@ -222,6 +225,14 @@ class TestHuntAndVerify:
         code, _, err = run_cli(capsys, "verify", str(tmp_path / "absent.json"))
         assert code == 2 and "error" in err
 
+    def test_verify_deeply_nested_document_exits_2(self, capsys, tmp_path):
+        # deep enough that json.loads gives up with a RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestScanCommand:
     def test_small_even_scan(self, capsys):
@@ -258,28 +269,32 @@ class TestScanCommand:
         code, _, err = run_cli(capsys, "scan", "--m", "12", "--nmax", "1")
         assert code == 2 and "budget" in err
 
+    def test_stretch_matches_long_division(self):
+        # 3072 = 2**10 * 3 stretches Phi_6 by 512
+        for n in [*range(1, 301), 900, 3072, 3150]:
+            expected = tuple(cyclotomic_by_division(n))
+            assert cli._phi_by_stretch(n, DEFAULT_DEGREE_BUDGET) == expected, n
+
+    def test_first_occurrences_match_long_division(self, capsys):
+        first_seen: dict[int, tuple[int, int]] = {}
+        for n in range(12, 12 * 20 + 1, 12):
+            for k, value in enumerate(cyclotomic_by_division(n)):
+                first_seen.setdefault(value, (n, k))
+        expected = [{"value": v, "n": n, "k": k} for v, (n, k) in sorted(first_seen.items())]
+        code, out, _ = run_cli(capsys, "scan", "--m", "12", "--nmax", "20", "--json")
+        assert code == 0
+        assert json.loads(out) == expected
+
     def test_huge_prime_modulus_rejected_before_factoring(self, capsys):
         # trial division of this 63-bit prime would take minutes
         code, _, err = run_cli(capsys, "scan", "--m", "9223372036854775783", "--nmax", "1")
         assert code == 2 and "budget" in err
 
 
-class TestBenchCommand:
-    def test_strategies_agree(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--n", "105,1155", "--json")
-        assert code == 0
-        rows = json.loads(out)
-        assert [row["n"] for row in rows] == [105, 1155]
-
-    def test_prime_power_stretch_path(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--n", "3072")
-        assert code == 0
-        assert "3072" in out
-
-    def test_bad_list_usage_error(self):
-        with pytest.raises(SystemExit) as info:
-            main(["bench", "--n", "10,frog"])
-        assert info.value.code == 2
+def test_bench_is_not_a_command():
+    with pytest.raises(SystemExit) as info:
+        main(["bench", "--n", "105"])
+    assert info.value.code == 2
 
 
 def fresh_process_env() -> dict[str, str]:
