@@ -53,7 +53,6 @@ from .hunter import (
     predict_window,
     verify_certificate,
 )
-from .series import TruncatedSeries
 
 __version__ = "0.1.0"
 
@@ -76,7 +75,6 @@ __all__ = [
     "PsiPoly",
     "SearchBoundExceededError",
     "TargetPlan",
-    "TruncatedSeries",
     "VerificationReport",
     "a_coeff",
     "build_certificate",

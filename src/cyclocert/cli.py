@@ -24,6 +24,7 @@ from .arith import (
     DEFAULT_SCAN_CEILING,
     FactoredInteger,
     PrimeCluster,
+    euler_phi,
     factor,
     radical,
 )
@@ -346,12 +347,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def _phi_by_stretch(n: int, budget: int) -> tuple[int, ...]:
     # Phi_n(x) = Phi_kernel(x**s) with s = n / kernel: compute over the
-    # squarefree kernel, then spread the exponents.  phi(n) = s * phi(kernel),
-    # so phi_poly(n)'s budget is budget // s for the kernel; phi(n) exceeds
-    # it past 2 * budget**2, which is checked before factor runs.
+    # squarefree kernel, then spread the exponents.  phi(n) = s * phi(kernel)
+    # is checked here, so that an excess is reported for n as phi_poly(n)
+    # would report it, and never for the kernel against budget // s; phi(n)
+    # exceeds the budget past 2 * budget**2, which is checked before factor.
     if n > 2 * budget * budget:
         raise DegreeBudgetExceededError(f"phi({n}) certainly exceeds budget {budget}")
-    kernel = radical(factor(n)).value()
+    fac = factor(n)
+    if euler_phi(fac) > budget:
+        raise DegreeBudgetExceededError(f"phi({n}) exceeds degree budget {budget}")
+    kernel = radical(fac).value()
     s = n // kernel
     base = phi_poly(kernel, degree_budget=budget // s).coeffs
     if s == 1:

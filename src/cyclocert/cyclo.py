@@ -39,10 +39,6 @@ class CyclotomicPoly:
         if not self.coeffs or self.coeffs[-1] != 1:
             raise ValueError("cyclotomic polynomial must be monic")
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
 
 @dataclass(frozen=True)
 class PsiPoly:
@@ -50,10 +46,6 @@ class PsiPoly:
 
     n: int
     coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 @dataclass(frozen=True)
@@ -116,7 +108,7 @@ def _mobius_unit_divisors(n: FactoredInteger, bound: int) -> list[tuple[int, int
 
 def _truncated_product(
     n: FactoredInteger, truncation: int, start: int, exponent: int
-) -> TruncatedSeries:
+) -> tuple[int, ...]:
     """Coefficients start..truncation-1 of the product of (1 - x**d)**e_d,
     e_d = exponent * mu(n/d), over the divisors d of n below the truncation.
 
@@ -129,6 +121,9 @@ def _truncated_product(
     products near the size of the result instead of letting the running
     sums of the divisions grow first.  The partial products therefore
     include the seeded terms, and so does their 64-bit range check.
+
+    Every step works in place on the one seeded list, so the product holds
+    one list of length truncation, plus the returned tuple at the end.
     """
     if n.is_one:
         raise ValueError("the Mobius product form requires n > 1")
@@ -143,35 +138,35 @@ def _truncated_product(
             low.append((d, sign))
         else:
             seed[d] = -sign
-    # distinct high d give distinct indices, so every entry is 0 or +-1; the
-    # list goes before the dense steps, which hold three arrays of its length
-    dense = TruncatedSeries(tuple(seed), 1)
-    del seed
+    # distinct high d give distinct indices, so every entry is 0 or +-1
+    dense = TruncatedSeries(seed, 1)
     for d, sign in sorted(low, key=lambda step: (-step[1], step[0])):
-        dense = dense.apply_one_minus_power(d, sign)
-    return dense if start == 0 else TruncatedSeries(dense.coeffs[start:])
+        dense.apply_one_minus_power(d, sign)
+    return tuple(seed[start:] if start else seed)
 
 
-def phi_truncated(n: FactoredInteger, truncation: int, start: int = 0) -> TruncatedSeries:
+def phi_truncated(n: FactoredInteger, truncation: int, start: int = 0) -> tuple[int, ...]:
     """Phi_n mod x**truncation for factored n > 1, from coefficient `start` on.
 
     Applies (1 - x**d)**mu(n/d) for every divisor d below the truncation with
-    squarefree cofactor; all other divisors contribute 1.  The result holds
-    coefficients start..truncation-1, so it has length truncation - start.
+    squarefree cofactor; all other divisors contribute 1.  The result is the
+    tuple of coefficients start..truncation-1, of length truncation - start.
     Cost is O(#low * truncation + #high), with low divisors 2d < truncation
     and high ones the rest (each a single seeded term), never governed by n
-    itself.  Every coefficient of the dense product (the low factors and the
-    seeded high ones), after each step, and every returned coefficient is
-    checked against the 64-bit range, by a scan only where a carried
-    magnitude bound does not prove it.
+    itself; memory is one list of length truncation plus the returned tuple.
+    Every coefficient of the dense product (the low factors and the seeded
+    high ones), after each step, and every returned coefficient is checked
+    against the 64-bit range, by a scan only where a carried magnitude bound
+    does not prove it.
     """
     return _truncated_product(n, truncation, start, 1)
 
 
 def inverse_phi_truncated(
     n: FactoredInteger, truncation: int, start: int = 0
-) -> TruncatedSeries:
-    """1/Phi_n mod x**truncation: the same divisor product, exponents negated."""
+) -> tuple[int, ...]:
+    """1/Phi_n mod x**truncation: the same divisor product, exponents negated,
+    returned as the same tuple of coefficients start..truncation-1."""
     return _truncated_product(n, truncation, start, -1)
 
 
@@ -185,7 +180,7 @@ def _phi_poly_cached(fac: FactoredInteger) -> CyclotomicPoly:
         return CyclotomicPoly(1, (-1, 1))
     phi = euler_phi(fac)
     half = (phi + 1) // 2  # ceil(phi/2); self-reciprocality supplies the rest
-    lower = phi_truncated(fac, half + 1).coeffs
+    lower = phi_truncated(fac, half + 1)
     if phi == half:  # n = 2: lower is all of Phi_n, and a -1 stop would wrap
         return CyclotomicPoly(n, lower)
     # a(n, k) = a(n, phi - k) for k in half+1..phi
@@ -207,7 +202,7 @@ def phi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> Cyclotomi
 def _c_table_cached(n: int) -> InverseCoefficientTable:
     if n == 1:
         return InverseCoefficientTable(1, (-1,))
-    return InverseCoefficientTable(n, inverse_phi_truncated(factor(n), n).coeffs)
+    return InverseCoefficientTable(n, inverse_phi_truncated(factor(n), n))
 
 
 def c_table(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> InverseCoefficientTable:

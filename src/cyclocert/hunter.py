@@ -52,7 +52,6 @@ from .cyclo import (
     phi_truncated,
 )
 from .errors import ArithmeticOverflowError, DegreeBudgetExceededError, NoPlanFoundError
-from .series import TruncatedSeries
 
 DEFAULT_RATIO = Fraction(15, 8)
 
@@ -131,18 +130,14 @@ class VerificationReport:
     reasons: tuple[str, ...] = ()
 
 
-def plan_target(
-    m: int, v: int, mode: str = MODE_A, *, degree_budget: int = DEFAULT_DEGREE_BUDGET
-) -> TargetPlan:
+def plan_target(m: int, v: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> TargetPlan:
     """Choose the smallest t >= 1 (ties: smallest delta) whose window hits v.
 
     Solves t directly from the window identity for every offset delta in
-    [0, kernel) with c(kernel, delta) != 0; the mode does not change the
-    identity (the same window serves both coefficient families below the
-    truncation) and is accepted for interface symmetry.
+    [0, kernel) with c(kernel, delta) != 0; the identity is the same for
+    both modes, since the same window serves both coefficient families
+    below the truncation.
     """
-    if mode not in (MODE_A, MODE_C):
-        raise ValueError(f"mode must be '{MODE_A}' or '{MODE_C}', got {mode!r}")
     if m < 2:
         raise ValueError(f"m must be at least 2 after kernel reduction, got {m}")
     kernel_fac = radical(factor(m))
@@ -208,7 +203,7 @@ def build_certificate(
         )
         return replace(inner, m_original=1, stretch=1, N_lifted=inner.N, k_lifted=inner.k_kernel)
 
-    plan = plan_target(m, v, mode, degree_budget=degree_budget)
+    plan = plan_target(m, v, degree_budget=degree_budget)
     kernel_fac = radical(factor(m))
     num, den = ratio.numerator, ratio.denominator
 
@@ -427,7 +422,7 @@ def verify_certificate(
     else:
         start, truncation = k, k + 1
     computed: int | None = None
-    expansion: TruncatedSeries | None = None
+    expansion: tuple[int, ...] | None = None
     if 0 <= start < truncation <= horizon:
         expand = phi_truncated if mode_a else inverse_phi_truncated
         try:
@@ -435,14 +430,14 @@ def verify_certificate(
         except ArithmeticOverflowError:
             flag(REASON_OVERFLOW)
     if expansion is not None and start <= k < truncation:
-        computed = expansion.coeffs[k - start]
+        computed = expansion[k - start]
     if computed != certificate.v:
         flag(REASON_VALUE)
 
     window_checked = False
     if full_window and expansion is not None and period is not None:
         window_checked = True
-        if expansion.coeffs[p_last - start :] != predict_window(
+        if expansion[p_last - start :] != predict_window(
             certificate, degree_budget=degree_budget
         ):
             flag(REASON_WINDOW_MISMATCH)

@@ -1,27 +1,27 @@
-"""Exact integer power series truncated at a fixed order.
+"""The working buffer of a truncated power-series product.
 
-The truncation order T is the length of the coefficient tuple; index i holds
-the coefficient of x**i.  The one operation, apply_one_minus_power,
-multiplies or divides by a binomial 1 - x**d: O(T) element operations run
-inside slice and accumulate calls over chunks of at most _CHUNK
-coefficients.  It checks its results against the signed 64-bit range and
-raises ArithmeticOverflowError when a coefficient leaves it, so the
-fixed-width policy fails loudly instead of growing silently.
+A TruncatedSeries holds the integer coefficients of a power series modulo
+x**T as one list of length T (index i holds the coefficient of x**i) and is
+stepped in place.  Its one operation, apply_one_minus_power, multiplies or
+divides the list by a binomial 1 - x**d: O(T) element operations run inside
+slice and accumulate calls over chunks of at most _CHUNK coefficients, so a
+step allocates no second array of length T.  It checks its results against
+the signed 64-bit range and raises ArithmeticOverflowError when a
+coefficient leaves it, so the fixed-width policy fails loudly instead of
+growing silently.
 
 The check goes through a proven bound B >= max |c_i| that each step
 carries forward: a multiplication at most doubles it, a division
 multiplies it by the number of terms in a running sum, floor((T-1)/d) + 1.
-All T coefficients are scanned only when B leaves the 64-bit range (and B
-then drops to the exact maximum), or when the series was built without a
-bound; either way a step raises exactly when one of its coefficients
-leaves the range.  Truncated cyclotomic products call it only for
-divisors with 2d < T (see cyclo), so a product costs O(T) per such
-divisor.
+All T coefficients are scanned only when B leaves the 64-bit range, and B
+then drops to the exact maximum, so a step raises exactly when one of its
+coefficients leaves the range.  Truncated cyclotomic products call
+it only for divisors with 2d < T (see cyclo), so a product costs O(T) per
+such divisor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add, sub
 
@@ -33,46 +33,38 @@ _MIN = -MACHINE_INT_MAX
 _CHUNK = 4096
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """Integer coefficients of a power series modulo x**T, T = len(coeffs).
+    """Integer coefficients of a power series modulo x**T, T = len(coeffs),
+    updated in place.
 
-    bound, when known, is at least the largest |coefficient|; it lets
-    apply_one_minus_power skip its range scan.  It takes no part in
-    equality or hashing.
+    bound is at least the largest |coefficient|; it lets
+    apply_one_minus_power skip its range scan.
     """
 
-    coeffs: tuple[int, ...]
-    bound: int | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("coeffs", "bound")
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
-            raise ValueError("truncation order must be at least 1")
+    def __init__(self, coeffs: list[int], bound: int) -> None:
+        self.coeffs = coeffs
+        self.bound = bound
 
-    @classmethod
-    def one(cls, truncation: int) -> "TruncatedSeries":
-        """The unit series 1 at the given truncation."""
-        if truncation < 1:
-            raise ValueError(f"truncation must be at least 1, got {truncation}")
-        return cls((1,) + (0,) * (truncation - 1), 1)
-
-    def apply_one_minus_power(self, d: int, sign: int) -> "TruncatedSeries":
-        """Multiply (sign=+1) or divide (sign=-1) by 1 - x**d, in O(T).
+    def apply_one_minus_power(self, d: int, sign: int) -> None:
+        """Multiply (sign=+1) or divide (sign=-1) the series by 1 - x**d,
+        in place and in O(T).
 
         Multiplication is c'_i = c_i - c_{i-d}; division is the running-sum
         recurrence c'_i = c_i + c'_{i-d}.  A d at or beyond the truncation is
         a no-op since 1 - x**d = 1 mod x**T.  The result is range checked
         after the step, by a scan of every coefficient only where the
-        carried bound does not already prove it (see the module docstring).
+        carried bound does not already prove it (see the module docstring);
+        when that check raises, coeffs holds the out-of-range result.
         """
         if d < 1:
             raise ValueError(f"exponent d must be at least 1, got {d}")
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
-        if d >= len(self.coeffs):
-            return self
-        c = list(self.coeffs)
-        bound = self.bound
+        c = self.coeffs
+        if d >= len(c):
+            return
         if sign == 1:
             _multiply_in_place(c, d)
             growth = 2
@@ -82,12 +74,13 @@ class TruncatedSeries:
             else:
                 _divide_in_place(c, d)
             growth = (len(c) - 1) // d + 1
-        if bound is None or bound * growth > MACHINE_INT_MAX:
+        bound = self.bound * growth
+        if bound > MACHINE_INT_MAX:
             top, bottom = max(c), min(c)
             if top > MACHINE_INT_MAX or bottom < _MIN:
                 raise ArithmeticOverflowError("coefficient outside the 64-bit range")
-            return TruncatedSeries(tuple(c), max(top, -bottom))
-        return TruncatedSeries(tuple(c), bound * growth)
+            bound = max(top, -bottom)
+        self.bound = bound
 
 
 def _multiply_in_place(c: list[int], d: int) -> None:

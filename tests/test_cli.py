@@ -269,6 +269,23 @@ class TestScanCommand:
         code, _, err = run_cli(capsys, "scan", "--m", "12", "--nmax", "1")
         assert code == 2 and "budget" in err
 
+    @pytest.mark.parametrize(
+        "budget, m",
+        [
+            # 2**21 = 2 * 2**20: the stretch alone exceeds the default budget
+            (DEFAULT_DEGREE_BUDGET, 2097152),
+            # phi(12) = 4 > 3, while phi(6) = 2 exceeds only budget // 2 = 1
+            (3, 12),
+        ],
+    )
+    def test_budget_excess_is_reported_for_n(self, capsys, monkeypatch, budget, m):
+        # the same message as `coeff a m k`, not one about the kernel
+        monkeypatch.setenv("CYCLO_DEGREE_BUDGET", str(budget))
+        code, _, err = run_cli(capsys, "scan", "--m", str(m), "--nmax", "1")
+        assert code == 2
+        assert err == f"error: phi({m}) exceeds degree budget {budget}\n"
+        assert run_cli(capsys, "coeff", "a", str(m), "1") == (2, "", err)
+
     def test_stretch_matches_long_division(self):
         # 3072 = 2**10 * 3 stretches Phi_6 by 512
         for n in [*range(1, 301), 900, 3072, 3150]:

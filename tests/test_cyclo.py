@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -193,16 +194,16 @@ class TestCTable:
 
 class TestPhiTruncated:
     def test_agrees_with_exact_polynomial(self):
-        assert phi_truncated(factor(6), 3).coeffs == phi_poly(6).coeffs[:3]
+        assert phi_truncated(factor(6), 3) == phi_poly(6).coeffs[:3]
         for n in range(2, 201):
             full = phi_poly(n).coeffs
             for truncation in range(1, len(full) + 1):
                 got = phi_truncated(factor(n), truncation)
-                assert got.coeffs == full[:truncation], (n, truncation)
+                assert got == full[:truncation], (n, truncation)
 
     def test_prime_prefix_is_all_ones(self):
         for p in (13, 97):
-            assert phi_truncated(factor(p), p).coeffs == (1,) * p
+            assert phi_truncated(factor(p), p) == (1,) * p
 
     def test_rejects_one(self):
         with pytest.raises(ValueError):
@@ -216,8 +217,8 @@ class TestPhiTruncated:
         for d in (3, 31, 37, 43):
             expected = mul_series(expected, geometric_series(d, order), order)
         got = phi_truncated(factor(3 * 31 * 37 * 43), order)
-        assert list(got.coeffs) == expected
-        assert got.coeffs[43] == 2
+        assert list(got) == expected
+        assert got[43] == 2
 
     def test_huge_modulus_stays_cheap(self):
         # the big prime sits beyond the truncation, so it only flips mu
@@ -234,15 +235,15 @@ class TestStartOffset:
         n, truncation, start = case
         for expand, exponent in ((phi_truncated, 1), (inverse_phi_truncated, -1)):
             full = expand(n, truncation)
-            assert list(full.coeffs) == divisor_product(n.value(), truncation, exponent)
-            assert expand(n, truncation, start).coeffs == full.coeffs[start:]
+            assert list(full) == divisor_product(n.value(), truncation, exponent)
+            assert expand(n, truncation, start) == full[start:]
 
     @given(seeded_products())
     def test_high_divisors_on_both_sides_of_start(self, case):
         n, truncation, start = case
         for expand, exponent in ((phi_truncated, 1), (inverse_phi_truncated, -1)):
             expected = divisor_product(n.value(), truncation, exponent)
-            assert list(expand(n, truncation, start).coeffs) == expected[start:]
+            assert list(expand(n, truncation, start)) == expected[start:]
 
     def test_start_outside_the_truncation_rejected(self):
         for start in (-1, 8):
@@ -250,11 +251,29 @@ class TestStartOffset:
                 phi_truncated(factor(6), 8, start)
 
 
+class TestOneList:
+    @pytest.mark.parametrize("start", [0, 2**16])
+    @pytest.mark.parametrize("expand, n", [(inverse_phi_truncated, 30), (phi_truncated, 2310)])
+    def test_peak_is_one_list_plus_the_result(self, expand, n, start):
+        # the coefficients are cached small ints, so the arrays are all that
+        # is traced: one working list of T pointers and the returned tuple,
+        # where a new array per step would hold three at once
+        truncation = 2**17
+        fac = factor(n)
+        tracemalloc.start()
+        try:
+            result = expand(fac, truncation, start)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * truncation
+        assert isinstance(result, tuple) and len(result) == truncation - start
+
 class TestInversePhiTruncated:
     def test_examples(self):
-        assert inverse_phi_truncated(factor(6), 8).coeffs == (1, 1, 0, -1, -1, 0, 1, 1)
-        assert inverse_phi_truncated(factor(2), 4).coeffs == (1, -1, 1, -1)
-        assert inverse_phi_truncated(factor(15), 7).coeffs == (1, 1, 1, 0, 0, -1, -1)
+        assert inverse_phi_truncated(factor(6), 8) == (1, 1, 0, -1, -1, 0, 1, 1)
+        assert inverse_phi_truncated(factor(2), 4) == (1, -1, 1, -1)
+        assert inverse_phi_truncated(factor(15), 7) == (1, 1, 1, 0, 0, -1, -1)
 
     def test_product_with_forward_is_unit(self):
         rng = random.Random(20260810)
@@ -263,8 +282,8 @@ class TestInversePhiTruncated:
             chosen = rng.sample(small_primes, rng.randint(3, 5))
             n = FactoredInteger(tuple((p, 1) for p in sorted(chosen)))
             truncation = rng.randint(2, 128)
-            forward = phi_truncated(n, truncation).coeffs
-            backward = inverse_phi_truncated(n, truncation).coeffs
+            forward = phi_truncated(n, truncation)
+            backward = inverse_phi_truncated(n, truncation)
             product = mul_series(forward, backward, truncation)
             assert product == [1] + [0] * (truncation - 1)
 
