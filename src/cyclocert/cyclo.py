@@ -20,9 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import cycle, islice, repeat
+from operator import mul, sub
 
 from .arith import FactoredInteger, euler_phi, factor
-from .errors import DegreeBudgetExceededError
+from .errors import ArithmeticOverflowError, DegreeBudgetExceededError, MACHINE_INT_MAX
 from .series import TruncatedSeries
 
 DEFAULT_DEGREE_BUDGET = 1_000_000
@@ -106,43 +108,124 @@ def _mobius_unit_divisors(n: FactoredInteger, bound: int) -> list[tuple[int, int
     return out
 
 
+def _dense_product(
+    truncation: int, low: list[tuple[int, int]], high: list[tuple[int, int]]
+) -> list[int]:
+    """The product of (1 - x**d)**e over the (d, e) of low and high, modulo
+    x**truncation, as one list stepped in place.
+
+    A high factor (2d >= truncation) is 1 - e * x**d modulo x**truncation
+    and any product of two of them vanishes, so their product is 1 - sum of
+    e * x**d: each is seeded into the starting list as the term -e at index
+    d, at O(1).  The factors commute, so the low ones are then applied
+    densely to that list, all of them multiplications first: that keeps the
+    partial products near the size of the result instead of letting the
+    running sums of the divisions grow first.  Each step is range checked,
+    seeded terms included.
+    """
+    coeffs = [0] * truncation
+    coeffs[0] = 1
+    for d, sign in high:
+        coeffs[d] = -sign
+    # distinct high d give distinct indices, so every entry is 0 or +-1
+    dense = TruncatedSeries(coeffs, 1)
+    for d, sign in sorted(low, key=lambda step: (-step[1], step[0])):
+        dense.apply_one_minus_power(d, sign)
+    return coeffs
+
+
+def _low_kernel(n: FactoredInteger, low: list[tuple[int, int]]) -> int | None:
+    """K when the low (d, e_d) are exactly the (d, -mu(K/d)) over the
+    divisors d of K with squarefree K/d, K the largest low divisor; else None.
+
+    Their product is then 1/Phi_K (1/(1 - x) for K = 1), a series of period
+    K.  K's factorization is read off n's primes, since K divides n.
+    """
+    if not low:
+        return None
+    kernel = max(d for d, _ in low)
+    factors = []
+    for p, _ in n.factors:
+        if p > kernel:
+            break
+        e = 0
+        while kernel % p ** (e + 1) == 0:
+            e += 1
+        if e:
+            factors.append((p, e))
+    unit = _mobius_unit_divisors(FactoredInteger(tuple(factors)), kernel)
+    if sorted(low) != sorted((d, -mu) for d, mu in unit):
+        return None
+    return kernel
+
+
+def _periodic_tail(
+    kernel: int,
+    low: list[tuple[int, int]],
+    high: list[tuple[int, int]],
+    truncation: int,
+    start: int,
+) -> tuple[int, ...]:
+    """Coefficients start..truncation-1 of (1/Phi_K) * (1 - sum of e_h * x**h)
+    when every high h is at most start, K = kernel.
+
+    With L one period of 1/Phi_K, coefficient j >= start is
+    L[j mod K] - sum of e_h * L[(j - h) mod K] over every h, which depends on
+    j mod K alone.  So one tail period S is built, grouping the high
+    divisors by residue r mod K into weights w_r, and tiled from start mod K.
+    """
+    period = _dense_product(kernel, low, [])
+    weights: dict[int, int] = {}
+    for h, sign in high:
+        r = h % kernel
+        weights[r] = weights.get(r, 0) + sign
+    tail = period
+    for r, weight in weights.items():
+        if weight:
+            shifted = period[kernel - r :] + period[: kernel - r]  # L[(s - r) mod K]
+            tail = list(map(sub, tail, map(mul, repeat(weight), shifted)))
+    offset = start % kernel
+    rotated = tail[offset:] + tail[:offset]
+    read = rotated[: truncation - start]
+    if max(read) > MACHINE_INT_MAX or min(read) < -MACHINE_INT_MAX:
+        raise ArithmeticOverflowError("coefficient outside the 64-bit range")
+    return tuple(islice(cycle(rotated), truncation - start))
+
+
 def _truncated_product(
     n: FactoredInteger, truncation: int, start: int, exponent: int
 ) -> tuple[int, ...]:
     """Coefficients start..truncation-1 of the product of (1 - x**d)**e_d,
     e_d = exponent * mu(n/d), over the divisors d of n below the truncation.
 
-    A divisor is low when 2d < truncation and high otherwise.  A high factor
-    is 1 - e_d * x**d modulo x**truncation and any product of two of them
-    vanishes, so their product is 1 - sum of e_d * x**d: every high divisor
-    is seeded into the starting series as the term -e_d at index d, at O(1).
-    The factors commute, so the low ones are then applied densely to that
-    series, all of them multiplications first: that keeps the partial
-    products near the size of the result instead of letting the running
-    sums of the divisions grow first.  The partial products therefore
-    include the seeded terms, and so does their 64-bit range check.
+    A divisor is low when 2d < truncation and high otherwise.  Two routes:
 
-    Every step works in place on the one seeded list, so the product holds
-    one list of length truncation, plus the returned tuple at the end.
+    - Periodic: when every high divisor is at most start and the low
+      factors are exactly those of 1/Phi_K for K the largest low divisor
+      (see _low_kernel), one period of 1/Phi_K is built densely at
+      truncation K and the requested coefficients are read from one tail
+      period (see _periodic_tail).  This is every certificate of the
+      hunter, in both modes.  It costs O(#div(K) * K + #residues * K +
+      #high + (truncation - start)) and holds O(K + truncation - start),
+      independent of the truncation itself.
+    - Dense: otherwise, the seeded in-place product of _dense_product,
+      O(#low * truncation + #high) time and one list of length truncation
+      plus the returned tuple.
     """
     if n.is_one:
         raise ValueError("the Mobius product form requires n > 1")
     if not 0 <= start < truncation:
         raise ValueError(f"start must lie in [0, {truncation}), got {start}")
     low: list[tuple[int, int]] = []
-    seed = [0] * truncation
-    seed[0] = 1
+    high: list[tuple[int, int]] = []
     for d, mu in _mobius_unit_divisors(n, truncation - 1):
-        sign = exponent * mu
-        if 2 * d < truncation:
-            low.append((d, sign))
-        else:
-            seed[d] = -sign
-    # distinct high d give distinct indices, so every entry is 0 or +-1
-    dense = TruncatedSeries(seed, 1)
-    for d, sign in sorted(low, key=lambda step: (-step[1], step[0])):
-        dense.apply_one_minus_power(d, sign)
-    return tuple(seed[start:] if start else seed)
+        (low if 2 * d < truncation else high).append((d, exponent * mu))
+    if all(d <= start for d, _ in high):
+        kernel = _low_kernel(n, low)
+        if kernel is not None:
+            return _periodic_tail(kernel, low, high, truncation, start)
+    coeffs = _dense_product(truncation, low, high)
+    return tuple(coeffs[start:] if start else coeffs)
 
 
 def phi_truncated(n: FactoredInteger, truncation: int, start: int = 0) -> tuple[int, ...]:
@@ -151,13 +234,18 @@ def phi_truncated(n: FactoredInteger, truncation: int, start: int = 0) -> tuple[
     Applies (1 - x**d)**mu(n/d) for every divisor d below the truncation with
     squarefree cofactor; all other divisors contribute 1.  The result is the
     tuple of coefficients start..truncation-1, of length truncation - start.
-    Cost is O(#low * truncation + #high), with low divisors 2d < truncation
-    and high ones the rest (each a single seeded term), never governed by n
-    itself; memory is one list of length truncation plus the returned tuple.
-    Every coefficient of the dense product (the low factors and the seeded
-    high ones), after each step, and every returned coefficient is checked
-    against the 64-bit range, by a scan only where a carried magnitude bound
-    does not prove it.
+    Low divisors have 2d < truncation, high ones are the rest.  Where every
+    high divisor is at most start and the low ones make exactly 1/Phi_K, K
+    the largest of them, the result is tiled from one period of length K:
+    O(#div(K) * K + #residues mod K * K + #high + (truncation - start))
+    time and O(K + truncation - start) memory.  Otherwise the dense product
+    costs O(#low * truncation + #high), never governed by n itself, and
+    holds one list of length truncation plus the returned tuple.  Both
+    routes raise ArithmeticOverflowError when a coefficient leaves the
+    64-bit range: on the dense route, any coefficient of the product after
+    any step (checked by a scan only where a carried magnitude bound does
+    not prove it); on the periodic route, any coefficient of the period of
+    1/Phi_K or any returned coefficient.
     """
     return _truncated_product(n, truncation, start, 1)
 

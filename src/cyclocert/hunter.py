@@ -298,13 +298,19 @@ def verify_certificate(
     never raise; they accumulate reason codes and yield passed=False.
 
     The product is expanded to truncation k + 1 and read at k alone, or with
-    full_window to 2*p_1 and read on [min(k, p_t), 2*p_1).  Divisors d of N
-    with 2d below that truncation (here the divisors of the kernel) cost
-    O(truncation) each.  Each other divisor (here the cluster primes) is
-    seeded into the product as a single term at O(1), so either check costs
-    O(#low * truncation + t).  An "overflow" reason means a coefficient of
-    the dense product (the seeded high terms times the low factors applied
-    so far), after any step, left the signed 64-bit range.
+    full_window to 2*p_1 and read on [min(k, p_t), 2*p_1).  The low divisors
+    of N (2d below that truncation) and the high ones (the rest) are taken
+    from N and the truncation alone.  For a valid certificate the low ones
+    are exactly those of 1/Phi_kernel and every high one (a cluster prime)
+    lies at or below the first coefficient read, so the product takes its
+    periodic route: one period of 1/Phi_kernel, built afresh, then one tail
+    period tiled over the read range, O(#div(kernel) * kernel + t + W) for
+    W coefficients read, independent of p_1 and so of v.  Any other N (a
+    tampered one) takes the dense route, O(#low * truncation + t).  An
+    "overflow" reason means that, on the periodic route, a coefficient of
+    the period of 1/Phi_kernel or a coefficient read left the signed 64-bit
+    range, and on the dense route a coefficient of the product (the seeded
+    high terms times the low factors applied so far) did, after any step.
     """
     reasons: list[str] = []
 

@@ -14,6 +14,7 @@ from cyclocert.arith import (
     mobius,
     next_prime_above,
     radical,
+    _sieve_primes,
 )
 from cyclocert.errors import ArithmeticOverflowError, SearchBoundExceededError
 
@@ -118,9 +119,27 @@ class TestPrimality:
         assert not is_prime(0)
 
     def test_against_sieve(self):
-        reference = set(sieve_primes(100_000))
-        for u in range(100_001):
+        reference = set(sieve_primes(1_000_000))
+        for u in range(1_000_001):
             assert is_prime(u) == (u in reference), u
+
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            2047,
+            1_373_653,
+            25_326_001,
+            3_215_031_751,
+            2_152_302_898_747,
+            3_474_749_660_383,
+            341_550_071_728_321,
+            3_825_123_056_546_413_051,
+        ],
+    )
+    def test_least_strong_pseudoprimes_are_composite(self, psi):
+        # psi_k passes Miller-Rabin to the first k prime bases, so each one
+        # sits at or just above the bound where fewer bases would answer
+        assert not is_prime(psi)
 
     def test_64bit_edge_cases(self):
         # strong pseudoprimes to small bases, and true large primes
@@ -201,6 +220,14 @@ class TestPrimeCluster:
         cluster = find_prime_cluster(spec)
         self._assert_invariants(cluster, spec)
         assert cluster.primes[-1] + delta < 2 * cluster.primes[0]
+
+    def test_class_sieve_against_oracle(self):
+        for limit in (0, 1, 2, 3, 255, 256, 30_000):
+            reference = sieve_primes(limit)
+            for modulus in range(1, 200):
+                residue = 1 % modulus
+                expected = [p for p in reference if p % modulus == residue]
+                assert _sieve_primes(limit, modulus, residue) == expected, (limit, modulus)
 
     def test_ceiling_error(self):
         with pytest.raises(SearchBoundExceededError):

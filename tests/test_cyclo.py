@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -69,6 +70,56 @@ def seeded_products(draw) -> tuple[FactoredInteger, int, int]:
     exponents.update((p, 1) for p in chosen)
     n = FactoredInteger(tuple(sorted((p, e) for p, e in exponents.items() if e)))
     return n, truncation, draw(st.integers(min_value=chosen[0], max_value=chosen[-1] - 1))
+
+
+def small_kernels(limit: int) -> list[FactoredInteger]:
+    """Every product of a subset of 2, 3, 5, 7, at most one of them squared,
+    below limit; 1 included."""
+    out = []
+    for size in range(5):
+        for primes in combinations((2, 3, 5, 7), size):
+            for squared in (None,) + primes:
+                fac = FactoredInteger(tuple((p, 2 if p == squared else 1) for p in primes))
+                if fac.value() < limit:
+                    out.append(fac)
+    return out
+
+
+KERNELS = small_kernels(150)
+
+
+@st.composite
+def periodic_products(draw) -> tuple[FactoredInteger, int, int]:
+    """(n, truncation, start) where n is a kernel K of small primes times up
+    to six primes in [truncation/2, truncation), all = 1 (mod K) or on
+    several residues, and start lies on either side of the largest of those.
+    For one of the two exponents the low factors make exactly 1/Phi_K, and
+    for the other Phi_K.  An optional extra prime in (K, truncation/2) adds
+    low divisors outside K, which leaves both exponents on the dense route
+    unless they make a larger kernel."""
+    kernel = draw(st.sampled_from(KERNELS))
+    k = kernel.value()
+    truncation = draw(st.integers(min_value=max(20, 2 * k + 1), max_value=300))
+    high_primes = [p for p in PRIMES_BELOW_300 if truncation <= 2 * p < 2 * truncation]
+    if draw(st.booleans()):
+        high_primes = [p for p in high_primes if p % k == 1 % k]
+    chosen = []
+    if high_primes:  # never empty for k = 1, by Bertrand's postulate
+        chosen = draw(
+            st.lists(
+                st.sampled_from(high_primes), min_size=1 if k == 1 else 0, max_size=6, unique=True
+            )
+        )
+    middle = [p for p in PRIMES_BELOW_300 if k < p and 2 * p < truncation]
+    if middle and draw(st.booleans()):
+        chosen.append(draw(st.sampled_from(middle)))
+    n = kernel * FactoredInteger(tuple((p, 1) for p in sorted(chosen)))
+    top = max((p for p in chosen if 2 * p >= truncation), default=0)
+    if top and draw(st.booleans()):
+        start = draw(st.integers(min_value=0, max_value=top - 1))
+    else:
+        start = draw(st.integers(min_value=top, max_value=truncation - 1))
+    return n, truncation, start
 
 
 class TestPhiPoly:
@@ -245,6 +296,13 @@ class TestStartOffset:
             expected = divisor_product(n.value(), truncation, exponent)
             assert list(expand(n, truncation, start)) == expected[start:]
 
+    @given(periodic_products())
+    def test_low_kernel_products(self, case):
+        n, truncation, start = case
+        for expand, exponent in ((phi_truncated, 1), (inverse_phi_truncated, -1)):
+            expected = divisor_product(n.value(), truncation, exponent)
+            assert list(expand(n, truncation, start)) == expected[start:]
+
     def test_start_outside_the_truncation_rejected(self):
         for start in (-1, 8):
             with pytest.raises(ValueError):
@@ -253,7 +311,16 @@ class TestStartOffset:
 
 class TestOneList:
     @pytest.mark.parametrize("start", [0, 2**16])
-    @pytest.mark.parametrize("expand, n", [(inverse_phi_truncated, 30), (phi_truncated, 2310)])
+    @pytest.mark.parametrize(
+        "expand, n",
+        [
+            (inverse_phi_truncated, 30),
+            (phi_truncated, 2310),
+            # the prime 32771 lies in (T/4, T/2), so the low factors are not
+            # those of 1/Phi_30 and the dense list is what is measured
+            (inverse_phi_truncated, 30 * 32771),
+        ],
+    )
     def test_peak_is_one_list_plus_the_result(self, expand, n, start):
         # the coefficients are cached small ints, so the arrays are all that
         # is traced: one working list of T pointers and the returned tuple,

@@ -1,9 +1,14 @@
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from cyclocert.arith import FactoredInteger, euler_phi, factor, radical
+import cyclocert
+from cyclocert.arith import FactoredInteger, PrimeCluster, euler_phi, factor, is_prime, radical
 from cyclocert.cyclo import c_table, inverse_phi_truncated, phi_poly, phi_truncated
 from cyclocert.errors import SearchBoundExceededError
 from cyclocert.hunter import (
@@ -14,6 +19,7 @@ from cyclocert.hunter import (
     REASON_Q_BOUND,
     REASON_VALUE,
     REASON_WINDOW,
+    Certificate,
     build_certificate,
     lift_to_modulus,
     plan_target,
@@ -253,6 +259,43 @@ class TestVerifyCertificate:
         window = predict_window(cert)
         assert report.computed_value == window[1] == -3
         assert not report.passed
+
+
+# verifies the pickled certificate on stdin with the address space capped at
+# 512 MB; argv[1] is the directory holding the package under test
+VERIFY_UNDER_RLIMIT = """
+import pickle, resource, sys
+sys.path.insert(0, sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+from cyclocert.hunter import verify_certificate
+report = verify_certificate(pickle.load(sys.stdin.buffer))
+print(report.passed, report.computed_value)
+"""
+
+
+class TestVerifyMemory:
+    def test_huge_cluster_prime_verifies_in_bounded_memory(self):
+        # t = 1 and p_1 > 10**12: the truncation k + 1 exceeds 10**12, so the
+        # coefficient must come from one period of 1/Phi_6, not a dense list
+        plan = plan_target(6, 1)
+        assert plan.t == 1
+        p = 10**12 + 3  # = 1 (mod 6)
+        while not is_prime(p):
+            p += 6
+        n = factor(6) * FactoredInteger(((p, 1),))
+        k = p + plan.delta
+        cert = Certificate(
+            mode="a", m_original=6, v=1, plan=plan, cluster=PrimeCluster(p - 1, (p,)), q=None,
+            N=n, k_kernel=k, stretch=1, N_lifted=n, k_lifted=k, truncation=2 * p,
+            ratio_num=15, ratio_den=8,
+        )
+        src = str(Path(cyclocert.__file__).resolve().parent.parent)
+        child = subprocess.run(
+            [sys.executable, "-c", VERIFY_UNDER_RLIMIT, src],
+            input=pickle.dumps(cert), capture_output=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr.decode()
+        assert child.stdout.decode().split() == ["True", "1"]
 
 
 class TestModeDuality:
