@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import cycle, islice, repeat
 from operator import mul, sub
 
-from .arith import FactoredInteger, euler_phi, factor
+from .arith import FactoredInteger, euler_phi, factor, radical
 from .errors import ArithmeticOverflowError, DegreeBudgetExceededError, MACHINE_INT_MAX
 from .series import TruncatedSeries
 
@@ -225,7 +225,7 @@ def _truncated_product(
         if kernel is not None:
             return _periodic_tail(kernel, low, high, truncation, start)
     coeffs = _dense_product(truncation, low, high)
-    return tuple(coeffs[start:] if start else coeffs)
+    return tuple(islice(coeffs, start, None) if start else coeffs)
 
 
 def phi_truncated(n: FactoredInteger, truncation: int, start: int = 0) -> tuple[int, ...]:
@@ -259,8 +259,8 @@ def inverse_phi_truncated(
 
 
 # keyed on the factorization phi_poly already holds for its budget check;
-# a_coeff loops reuse one n; unbounded, a scan would keep every polynomial it
-# visits
+# bounded, since a scan would otherwise keep every polynomial it visits;
+# a_coeff reads Phi_K from it, one K for every k of one n
 @lru_cache(maxsize=16)
 def _phi_poly_cached(fac: FactoredInteger) -> CyclotomicPoly:
     n = fac.value()
@@ -275,15 +275,20 @@ def _phi_poly_cached(fac: FactoredInteger) -> CyclotomicPoly:
     return CyclotomicPoly(n, lower + lower[phi - half - 1 :: -1])
 
 
-def phi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> CyclotomicPoly:
-    """Exact Phi_n, computed at half the truncation and mirrored (n > 1)."""
+def _factor_within_budget(n: int, degree_budget: int) -> FactoredInteger:
+    """factor(n), once n is known positive and phi(n) within the budget."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     _check_degree_budget(n, degree_budget)
     fac = factor(n)
     if euler_phi(fac) > degree_budget:
         raise DegreeBudgetExceededError(f"phi({n}) exceeds degree budget {degree_budget}")
-    return _phi_poly_cached(fac)
+    return fac
+
+
+def phi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> CyclotomicPoly:
+    """Exact Phi_n, computed at half the truncation and mirrored (n > 1)."""
+    return _phi_poly_cached(_factor_within_budget(n, degree_budget))
 
 
 @lru_cache(maxsize=None)
@@ -318,13 +323,44 @@ def psi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> PsiPoly:
 
 
 def a_coeff(n: int, k: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> int:
-    """a(n, k), with 0 for any k beyond the degree phi(n)."""
+    """a(n, k), with 0 for any k beyond the degree phi(n).
+
+    Built from objects over K = rad(n)/p, p the largest prime of n, never
+    from Phi_n itself.  Phi_n(x) = Phi_rad(x**s) with s = n/rad(n), so
+    a(n, k) is 0 unless s | k, and a(rad, k/s) otherwise; Phi_rad is
+    self-reciprocal, so k/s may be replaced by min(k/s, phi(rad) - k/s).
+    For p not dividing K, Phi_{Kp}(x) = Phi_K(x**p) / Phi_K(x), hence
+
+        a(Kp, k) = sum over 0 <= i <= min(phi(K), k/p) of a(K, i) * c(K, k - p*i)
+
+    with a(K, .) from phi_poly(K) and c(K, .) from c_table(K), both cached.
+    K <= phi(n), so the budget checks are those of phi_poly(n) and nothing
+    else can exceed the budget.  The cost is O(#div(K) * K) to build both
+    tables, once per K, plus O(min(phi(K), k/p)) per call.  That sum is paid
+    on every call: a loop over the k of one n should read phi_poly(n).
+    """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    poly = phi_poly(n, degree_budget=degree_budget)
-    if k >= len(poly.coeffs):
+    fac = _factor_within_budget(n, degree_budget)
+    phi = euler_phi(fac)
+    if k > phi:
         return 0
-    return poly.coeffs[k]
+    if n == 1:
+        return (-1, 1)[k]  # Phi_1 = x - 1
+    rad = radical(fac).value()
+    s = n // rad
+    if k % s:
+        return 0
+    k = min(k // s, phi // s - k // s)
+    p = fac.factors[-1][0]
+    base = rad // p  # K
+    coeffs = phi_poly(base, degree_budget=degree_budget).coeffs
+    table = c_table(base, degree_budget=degree_budget)
+    # map stops at the shorter input: i <= phi(K) and p*i <= k
+    value = sum(map(mul, coeffs, map(table.lookup, range(k, -1, -p))))
+    if abs(value) > MACHINE_INT_MAX:
+        raise ArithmeticOverflowError("coefficient outside the 64-bit range")
+    return value
 
 
 def c_coeff(n: int, k: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> int:

@@ -94,9 +94,16 @@ class TestCoeffCommand:
 
     def test_budget_exceeded_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("CYCLO_DEGREE_BUDGET", "10")
-        code, _, err = run_cli(capsys, "coeff", "a", "105", "7")
-        assert code == 2
-        assert "budget" in err
+        assert run_cli(capsys, "coeff", "a", "105", "7") == (
+            2, "", "error: phi(105) exceeds degree budget 10\n"
+        )
+
+    def test_budget_rejects_large_n_unfactored(self, capsys, monkeypatch):
+        # phi(n) >= sqrt(n/2), so n > 2 * 10**2 cannot fit a budget of 10
+        monkeypatch.setenv("CYCLO_DEGREE_BUDGET", "10")
+        assert run_cli(capsys, "coeff", "a", "201", "7") == (
+            2, "", "error: phi(201) certainly exceeds budget 10\n"
+        )
 
 
 class TestHuntAndVerify:

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from cyclocert import cyclo
 from cyclocert.arith import FactoredInteger, euler_phi, factor
 from cyclocert.cyclo import (
     a_coeff,
@@ -16,6 +17,7 @@ from cyclocert.cyclo import (
     psi_poly,
 )
 from cyclocert.errors import DegreeBudgetExceededError
+from cyclocert.series import TruncatedSeries
 
 from oracles import (
     cyclotomic_by_division,
@@ -201,6 +203,53 @@ class TestACoeff:
         assert a_coeff(6, 3) == 0
         assert a_coeff(6, 10**9) == 0
 
+    def test_against_division_oracle(self):
+        for n in range(1, 500):
+            expected = cyclotomic_by_division(n) + [0, 0]
+            assert [a_coeff(n, k) for k in range(len(expected))] == expected, n
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1,
+            2,
+            97,
+            3**6,  # a prime power: K = 1
+            2**5 * 3**2 * 5,
+            7**3 * 11,
+        ],
+    )
+    def test_named_cases_through_the_degree(self, n):
+        # k runs to phi(n) + 1, one past the degree
+        expected = cyclotomic_by_division(n) + [0]
+        assert [a_coeff(n, k) for k in range(len(expected))] == expected
+
+    def test_sampled_against_the_whole_polynomial(self):
+        # 255255 = 3*5*7*11*13*17: K = 15015, p = 17
+        coeffs = phi_poly(255255).coeffs
+        phi = len(coeffs) - 1
+        rng = random.Random(255255)
+        for k in [0, 1, 17, phi // 2, phi // 2 + 1, phi - 1, phi, *rng.sample(range(phi), 300)]:
+            assert a_coeff(255255, k) == coeffs[k], k
+
+    def test_one_coefficient_does_not_build_phi_n(self, monkeypatch):
+        # a(1616615, k) from K = 85085: its c_table and half of Phi_K take
+        # about 3.2M series updates, where half of Phi_1616615 takes
+        # 24,565,824; the sum over i adds none
+        updates = 0
+        apply = TruncatedSeries.apply_one_minus_power
+
+        def counted(series, d, sign):
+            nonlocal updates
+            updates += max(len(series.coeffs) - d, 0)
+            apply(series, d, sign)
+
+        monkeypatch.setattr(TruncatedSeries, "apply_one_minus_power", counted)
+        cyclo._phi_poly_cached.cache_clear()
+        cyclo._c_table_cached.cache_clear()
+        assert a_coeff(1616615, 300000) == -805
+        assert 0 < updates <= 4_000_000
+
 
 class TestCTable:
     def test_n_equals_one(self):
@@ -326,15 +375,32 @@ class TestOneList:
         # is traced: one working list of T pointers and the returned tuple,
         # where a new array per step would hold three at once
         truncation = 2**17
-        fac = factor(n)
+        result, peak = self.traced_peak(expand, factor(n), truncation, start)
+        assert peak <= 2.5 * 8 * truncation
+        assert isinstance(result, tuple) and len(result) == truncation - start
+
+    @pytest.mark.parametrize(
+        "expand, n", [(phi_truncated, 2310), (inverse_phi_truncated, 30 * 32771)]
+    )
+    def test_suffix_is_copied_once(self, expand, n):
+        # the dense list of T pointers plus the returned tuple of T/2, which
+        # grows by a quarter as it is filled: about 1.57, where slicing the
+        # list first holds a second copy of the suffix, 2.0
+        truncation = 2**17
+        result, peak = self.traced_peak(expand, factor(n), truncation, truncation // 2)
+        assert peak <= 1.75 * 8 * truncation
+        assert len(result) == truncation // 2
+
+    @staticmethod
+    def traced_peak(expand, fac, truncation, start):
         tracemalloc.start()
         try:
             result = expand(fac, truncation, start)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * truncation
-        assert isinstance(result, tuple) and len(result) == truncation - start
+        return result, peak
+
 
 class TestInversePhiTruncated:
     def test_examples(self):
