@@ -2,12 +2,16 @@
 
 Factorization, the Mobius and Euler phi functions, squarefree kernels,
 deterministic primality, and the search for clusters of primes
-p = 1 (mod m) inside an interval (n, r*n) with r < 2.
+p = 1 (mod m) inside an interval (n, r*n) with r < 2.  That search is one
+pass over the primes of the class, read from a segmented sieve of the
+progression: O(r*n/m) sieve work plus O(number of class primes) steps for
+a cluster found at n, in O(t + segment) memory.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
@@ -137,10 +141,12 @@ def is_prime(u: int) -> bool:
     """Deterministic primality for 0 <= u < 2**64.
 
     Trial division by the 12 primes 2, 3, ..., 37, then Miller-Rabin with
-    the fewest of them that is proven exact for u: the first 4 below
-    psi_4 = 3,215,031,751, the first 7 below psi_7 = 341,550,071,728,321,
-    and all 12 otherwise, which is exact below 3.3 * 10**24.  The psi_k are
-    Jaeschke's (Math. Comp. 61, 1993); no probabilistic answers.
+    the fewest of them that is proven exact for u: the first 2 below
+    psi_2 = 1,373,653, the first 3 below psi_3 = 25,326,001, the first 4
+    below psi_4 = 3,215,031,751, the first 7 below psi_7 =
+    341,550,071,728,321, and all 12 otherwise, which is exact below
+    3.3 * 10**24.  The psi_k are Jaeschke's (Math. Comp. 61, 1993); no
+    probabilistic answers.
     """
     if u < 2:
         return False
@@ -149,7 +155,11 @@ def is_prime(u: int) -> bool:
             return True
         if u % p == 0:
             return False
-    if u < 3_215_031_751:  # psi_4
+    if u < 1_373_653:  # psi_2
+        bases = _MR_BASES[:2]
+    elif u < 25_326_001:  # psi_3
+        bases = _MR_BASES[:3]
+    elif u < 3_215_031_751:  # psi_4
         bases = _MR_BASES[:4]
     elif u < 341_550_071_728_321:  # psi_7
         bases = _MR_BASES[:7]
@@ -223,51 +233,79 @@ class PrimeCluster:
     primes: tuple[int, ...]
 
 
-def _sieve_primes(limit: int, modulus: int, residue: int) -> list[int]:
-    """The primes p <= limit with p = residue (mod modulus), ascending."""
-    if limit < 2:
-        return []
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start : limit + 1 : p] = b"\x00" * ((limit - start) // p + 1)
-    return list(compress(range(residue, limit + 1, modulus), flags[residue::modulus]))
+_SEGMENT_MAX = 1 << 16  # class members per sieve segment
+
+
+def _class_primes(modulus: int, above: int, top: int) -> Iterator[int]:
+    """The primes p = 1 (mod modulus) with above < p <= top, ascending; above >= 1.
+
+    A segmented sieve of the progression alone: one flag per class member,
+    struck by the base primes up to sqrt of the segment's last member that
+    do not divide the modulus (those never divide a member).  The base
+    primes come from this sieve at modulus 1.  Segments double from 64
+    members to _SEGMENT_MAX, so a search that ends early sieves little and
+    a long one holds one bounded segment.
+    """
+    residue = 1 % modulus
+    # members are residue + j*modulus; sieve the indices j in [lo, stop)
+    lo = (above - residue) // modulus + 1
+    stop = (top - residue) // modulus + 1
+    size = 64
+    base_limit = 1
+    bases: list[tuple[int, int]] = []  # (q, j mod q of the members q divides)
+    while lo < stop:
+        hi = min(stop, lo + size)
+        first = residue + lo * modulus
+        last = residue + (hi - 1) * modulus
+        if isqrt(last) > base_limit:
+            base_limit = min(max(2 * base_limit, isqrt(last)), isqrt(top))
+            bases = [
+                (q, -residue * pow(modulus, -1, q) % q)
+                for q in _class_primes(1, 1, base_limit)
+                if modulus % q
+            ]
+        flags = bytearray(b"\x01") * (hi - lo)
+        for q, j_q in bases:
+            # strike from q*q on, so q itself stays when it is a member
+            j = -(-(max(q * q, first) - residue) // modulus)
+            j += (j_q - j) % q
+            if j < hi:
+                flags[j - lo :: q] = bytes(len(range(j, hi, q)))
+        yield from compress(range(first, last + 1, modulus), flags)
+        lo = hi
+        size = min(2 * size, _SEGMENT_MAX)
 
 
 def find_prime_cluster(
     spec: PrimeClusterSpec, *, scan_ceiling: int = DEFAULT_SCAN_CEILING
 ) -> PrimeCluster:
-    """Scan n = floor_n, floor_n + 1, ... for the first admissible cluster.
+    """The least n >= floor_n whose window (n, r*n) holds `count` class primes.
 
-    Returns the cluster with the smallest n such that the open interval
-    (n, r*n) contains at least `count` primes = 1 (mod modulus), taking the
-    `count` smallest of them.  Dirichlet guarantees eventual success, but the
-    scan stops with SearchBoundExceededError once n passes `scan_ceiling` so
-    resource use stays explicit.
+    Returns that n with the `count` smallest primes = 1 (mod modulus) above
+    it.  One forward pass over those primes p_0 < p_1 < ... above floor_n:
+    the cluster p_i..p_{i+t-1} admits every n from max(floor_n, p_{i-1},
+    floor(p_{i+t-1}/r) + 1) up to p_i - 1, and these lower ends never
+    decrease in i, so the first i whose range is not empty gives the least
+    n.  Cost: O(r*n/m) sieve work plus one step per class prime; memory:
+    the t + 1 primes at hand and one sieve segment.  Dirichlet guarantees
+    eventual success, but the search stops with SearchBoundExceededError
+    once no n <= scan_ceiling can work, reading no prime at or above
+    r*scan_ceiling, so resource use stays explicit.
     """
     m, t = spec.modulus, spec.count
     num, den = spec.ratio_num, spec.ratio_den
-    residue = 1 % m
-
-    limit = 256
-    while limit * den < spec.floor_n * num:
-        limit *= 2
-    primes = _sieve_primes(limit, m, residue)
-
-    n = spec.floor_n
-    while n <= scan_ceiling:
-        if limit * den < n * num:
-            # sieve must cover the whole window (n, r*n) before counting
-            while limit * den < n * num:
-                limit *= 2
-            primes = _sieve_primes(limit, m, residue)
-        lo = bisect_right(primes, n)
-        last = lo + t - 1
-        if last < len(primes) and primes[last] * den < n * num:
-            return PrimeCluster(n=n, primes=tuple(primes[lo : lo + t]))
-        n += 1
+    window: deque[int] = deque(maxlen=t)  # p_i..p_{i+t-1} once full
+    low = spec.floor_n  # max(floor_n, p_{i-1})
+    for p in _class_primes(m, spec.floor_n, (scan_ceiling * num - 1) // den):
+        if len(window) == t:
+            low = window[0]
+        window.append(p)
+        if len(window) == t:
+            n = max(low, p * den // num + 1)
+            if n > scan_ceiling:
+                break
+            if n < window[0]:
+                return PrimeCluster(n=n, primes=tuple(window))
     raise SearchBoundExceededError(
         f"no cluster of {t} primes = 1 (mod {m}) in (n, {num}/{den}*n) for n <= {scan_ceiling}"
     )

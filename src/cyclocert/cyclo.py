@@ -291,7 +291,9 @@ def phi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> Cyclotomi
     return _phi_poly_cached(_factor_within_budget(n, degree_budget))
 
 
-@lru_cache(maxsize=None)
+# bounded, since a_coeff keeps one period per kernel K = rad(n)/p it
+# meets; 32 holds every kernel of the acceptance grid (m <= 30)
+@lru_cache(maxsize=32)
 def _c_table_cached(n: int) -> InverseCoefficientTable:
     if n == 1:
         return InverseCoefficientTable(1, (-1,))

@@ -155,15 +155,12 @@ def cluster_scan_bruteforce(
 ) -> tuple[int, list[int]] | None:
     """Smallest n in [floor_n, limit] whose window holds `count` primes.
 
-    Re-sieves from scratch for every candidate n; slow but transparent.
+    Sieves once up to r*limit, then collects the window of every candidate
+    n afresh from all those primes in the class; slow but transparent.
     """
+    candidates = [p for p in sieve_primes(num * limit // den + 1) if p % modulus == 1 % modulus]
     for n in range(floor_n, limit + 1):
-        top = num * n // den + 1
-        window = [
-            p
-            for p in sieve_primes(top)
-            if n < p and p * den < n * num and p % modulus == 1 % modulus
-        ]
+        window = [p for p in candidates if n < p and p * den < n * num]
         if len(window) >= count:
             return n, window[:count]
     return None

@@ -1,4 +1,7 @@
 import math
+import tracemalloc
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +17,8 @@ from cyclocert.arith import (
     mobius,
     next_prime_above,
     radical,
-    _sieve_primes,
+    _SEGMENT_MAX,
+    _class_primes,
 )
 from cyclocert.errors import ArithmeticOverflowError, SearchBoundExceededError
 
@@ -141,6 +145,13 @@ class TestPrimality:
         # sits at or just above the bound where fewer bases would answer
         assert not is_prime(psi)
 
+    @pytest.mark.parametrize("psi", [1_373_653, 25_326_001])
+    def test_agrees_with_trial_division_around_base_switches(self, psi):
+        # psi_2 and psi_3 are where is_prime moves from 2 to 3 and from 3 to
+        # 4 Miller-Rabin bases
+        for u in range(psi - 2000, psi + 2001):
+            assert is_prime(u) == (trial_factor(u) == [(u, 1)]), u
+
     def test_64bit_edge_cases(self):
         # strong pseudoprimes to small bases, and true large primes
         assert not is_prime(3215031751)
@@ -222,12 +233,76 @@ class TestPrimeCluster:
         assert cluster.primes[-1] + delta < 2 * cluster.primes[0]
 
     def test_class_sieve_against_oracle(self):
-        for limit in (0, 1, 2, 3, 255, 256, 30_000):
-            reference = sieve_primes(limit)
-            for modulus in range(1, 200):
-                residue = 1 % modulus
-                expected = [p for p in reference if p % modulus == residue]
-                assert _sieve_primes(limit, modulus, residue) == expected, (limit, modulus)
+        reference = sieve_primes(200_000)
+        # segments hold 64, 128, ..., _SEGMENT_MAX members, then
+        # _SEGMENT_MAX each: limits on both sides of every segment end
+        sizes = [64 << k for k in range(_SEGMENT_MAX.bit_length() - 6)]
+        ends = list(accumulate(sizes + [_SEGMENT_MAX]))
+        for modulus in range(1, 200):
+            residue = 1 % modulus
+            expected = [p for p in reference if p % modulus == residue]
+            first = 1 + modulus if modulus > 1 else 2  # the least member above 1
+            limits = {0, 1, 2, 3, 255, 256, 30_000}
+            limits |= {first + e * modulus + d for e in ends for d in (-1, 0, 1)}
+            for limit in sorted(x for x in limits if x <= reference[-1]):
+                for above in (1, max(1, limit // 3)):
+                    want = expected[bisect_right(expected, above) : bisect_right(expected, limit)]
+                    got = list(_class_primes(modulus, above, limit))
+                    assert got == want, (modulus, above, limit)
+
+    @given(
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=6),
+        st.data(),
+    )
+    def test_search_against_oracle(self, modulus, count, data):
+        den = data.draw(st.integers(min_value=2, max_value=12), label="den")
+        num = data.draw(st.integers(min_value=den + 1, max_value=2 * den - 1), label="num")
+        floor_n = data.draw(st.integers(min_value=1, max_value=200), label="floor_n")
+        spec = PrimeClusterSpec(modulus, count, num, den, floor_n)
+        answer = find_prime_cluster(spec)
+        ceiling = max(1, answer.n + data.draw(st.integers(-3, 3), label="offset"))
+        brute = cluster_scan_bruteforce(modulus, count, num, den, floor_n, ceiling)
+        if brute is None:
+            with pytest.raises(SearchBoundExceededError):
+                find_prime_cluster(spec, scan_ceiling=ceiling)
+        else:
+            assert brute == (answer.n, list(answer.primes))
+            assert find_prime_cluster(spec, scan_ceiling=ceiling) == answer
+
+    @pytest.mark.parametrize(
+        "modulus,count,n,primes",
+        [
+            (510510, 3, 4_628_625, (5105101, 8168161, 8678671)),
+            (
+                30030,
+                10,
+                752_753,
+                (
+                    840841, 870871, 930931, 960961, 1051051,
+                    1201201, 1231231, 1261261, 1381381, 1411411,
+                ),
+            ),
+        ],
+    )
+    def test_wide_kernels(self, modulus, count, n, primes):
+        # the answers of the n-by-n scan this search replaced
+        cluster = find_prime_cluster(PrimeClusterSpec(modulus, count, 15, 8))
+        assert cluster == PrimeCluster(n=n, primes=primes)
+
+    def test_exhausted_search_holds_one_segment(self):
+        # no 2000 primes = 1 (mod 30) fit in (n, 65n/64) for n <= 10**7, so
+        # the search reads every class prime below r * 10**7; a sieve with
+        # one flag per integer up to there would take 2**24 bytes
+        spec = PrimeClusterSpec(30, 2000, 65, 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchBoundExceededError):
+                find_prime_cluster(spec, scan_ceiling=10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_ceiling_error(self):
         with pytest.raises(SearchBoundExceededError):

@@ -250,6 +250,17 @@ class TestACoeff:
         assert a_coeff(1616615, 300000) == -805
         assert 0 < updates <= 4_000_000
 
+    def test_periods_per_kernel_stay_bounded(self):
+        # each a(210*q*q', 1), q < q' consecutive primes, reads the period of
+        # 1/Phi_K for a new kernel K = 210*q
+        primes = [p for p in sieve_primes(400) if p > 7][:41]
+        cyclo._c_table_cached.cache_clear()
+        for q, q_next in zip(primes, primes[1:]):
+            a_coeff(210 * q * q_next, 1, degree_budget=10**8)
+        info = cyclo._c_table_cached.cache_info()
+        assert info.maxsize is not None and info.maxsize >= 32
+        assert info.currsize <= info.maxsize
+
 
 class TestCTable:
     def test_n_equals_one(self):
