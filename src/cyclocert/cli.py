@@ -322,11 +322,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    # Phi_n(x) = Phi_rad(n)(x**s) with s = n / rad(n), so n is skipped, after
+    # its budget check, when it cannot add a value:
+    # - omega(n) <= 2 and -1, 0 and 1 have all been seen: Phi_1, Phi_p and
+    #   the binary Phi_pq have every coefficient in {-1, 0, 1} (Migotti,
+    #   1883), and stretching adds only zeros;
+    # - n is not squarefree, m | rad(n) and 0 has been seen: rad(n) = m*j'
+    #   with j' < n/m was scanned, and Phi_n's first kmax + 1 coefficients
+    #   are zeros and a(rad(n), i) for i <= kmax.
     budget = _env_degree_budget()
     first_seen: dict[int, tuple[int, int]] = {}
     for multiplier in range(1, args.nmax + 1):
         n = args.m * multiplier
-        coeffs = _phi_by_stretch(n, budget)
+        fac = _budgeted_factor(n, budget)
+        if len(fac.factors) <= 2 and {-1, 0, 1} <= first_seen.keys():
+            continue
+        rad = radical(fac).value()
+        if rad < n and rad % args.m == 0 and 0 in first_seen:
+            continue
+        coeffs = _phi_by_stretch(fac, budget)
         if args.kmax is not None:
             coeffs = coeffs[: max(0, args.kmax + 1)]
         new = set(coeffs).difference(first_seen)
@@ -345,19 +359,25 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _phi_by_stretch(n: int, budget: int) -> tuple[int, ...]:
-    # Phi_n(x) = Phi_kernel(x**s) with s = n / kernel: compute over the
-    # squarefree kernel, then spread the exponents.  phi(n) = s * phi(kernel)
-    # is checked here, so that an excess is reported for n as phi_poly(n)
-    # would report it, and never for the kernel against budget // s; phi(n)
-    # exceeds the budget past 2 * budget**2, which is checked before factor.
+def _budgeted_factor(n: int, budget: int) -> FactoredInteger:
+    # phi(n) is checked for n itself, so that an excess is reported for n as
+    # phi_poly(n) would report it, and never for its kernel against
+    # budget // s; phi(n) exceeds the budget past 2 * budget**2, which is
+    # checked before factor.
     if n > 2 * budget * budget:
         raise DegreeBudgetExceededError(f"phi({n}) certainly exceeds budget {budget}")
     fac = factor(n)
     if euler_phi(fac) > budget:
         raise DegreeBudgetExceededError(f"phi({n}) exceeds degree budget {budget}")
+    return fac
+
+
+def _phi_by_stretch(fac: FactoredInteger, budget: int) -> tuple[int, ...]:
+    # Phi_n(x) = Phi_kernel(x**s) with s = n / kernel: compute over the
+    # squarefree kernel, then spread the exponents; the caller has checked
+    # phi(n) = s * phi(kernel) against the budget
     kernel = radical(fac).value()
-    s = n // kernel
+    s = fac.value() // kernel
     base = phi_poly(kernel, degree_budget=budget // s).coeffs
     if s == 1:
         return base

@@ -57,7 +57,11 @@ class InverseCoefficientTable:
     c(n, k) depends only on k mod n because 1/Phi_n = -Psi_n * (1 + x**n +
     x**2n + ...) and deg Psi_n = n - phi(n) < n; consequently period[j] is
     -1 times the x**j coefficient of Psi_n, and the window
-    n - phi(n) < j < n is identically zero.
+    n - phi(n) < j < n is identically zero.  For n > 1, Psi_n is
+    anti-palindromic, since x**n - 1 is anti-reciprocal and Phi_n is
+    reciprocal (Moree, "Inverse cyclotomic polynomials", J. Number Theory
+    129, 2009): period[deg - j] = -period[j] for deg = n - phi(n), so half
+    of 0..deg determines the period.
     """
 
     n: int
@@ -134,9 +138,10 @@ def _dense_product(
     return coeffs
 
 
-def _low_kernel(n: FactoredInteger, low: list[tuple[int, int]]) -> int | None:
-    """K when the low (d, e_d) are exactly the (d, -mu(K/d)) over the
-    divisors d of K with squarefree K/d, K the largest low divisor; else None.
+def _low_kernel(n: FactoredInteger, low: list[tuple[int, int]]) -> FactoredInteger | None:
+    """K, factored, when the low (d, e_d) are exactly the (d, -mu(K/d)) over
+    the divisors d of K with squarefree K/d, K the largest low divisor; else
+    None.
 
     Their product is then 1/Phi_K (1/(1 - x) for K = 1), a series of period
     K.  K's factorization is read off n's primes, since K divides n.
@@ -153,28 +158,57 @@ def _low_kernel(n: FactoredInteger, low: list[tuple[int, int]]) -> int | None:
             e += 1
         if e:
             factors.append((p, e))
-    unit = _mobius_unit_divisors(FactoredInteger(tuple(factors)), kernel)
+    kernel_fac = FactoredInteger(tuple(factors))
+    unit = _mobius_unit_divisors(kernel_fac, kernel)
     if sorted(low) != sorted((d, -mu) for d, mu in unit):
         return None
-    return kernel
+    return kernel_fac
+
+
+def _inverse_period(kernel: FactoredInteger) -> list[int]:
+    """One period, of length K, of the product of (1 - x**d)**(-mu(K/d))
+    over the divisors d of K: 1/Phi_K for K > 1, 1/(1 - x) for K = 1.
+
+    For K > 1 that period is -Psi_K followed by zeros (see
+    InverseCoefficientTable), and Psi_K is anti-palindromic, so with
+    deg = K - phi(K) the entries satisfy period[deg - j] = -period[j].  Only
+    entries 0..floor(deg/2) are expanded, by the seeded product of
+    _dense_product at that truncation; the rest of 1..deg is mirrored and
+    the window deg < j < K is zero.  It costs O(#low * deg/2 + K), where
+    the low divisors of K are those below deg/4.
+    """
+    size = kernel.value()
+    degree = size - euler_phi(kernel)
+    truncation = degree // 2 + 1
+    low: list[tuple[int, int]] = []
+    high: list[tuple[int, int]] = []
+    for d, mu in _mobius_unit_divisors(kernel, truncation - 1):
+        (low if 2 * d < truncation else high).append((d, -mu))
+    period = _dense_product(truncation, low, high)
+    # entries truncation..deg mirror entries deg-truncation..0, negated
+    period.extend(-c for c in reversed(period[: degree - truncation + 1]))
+    period.extend(repeat(0, size - degree - 1))
+    return period
 
 
 def _periodic_tail(
-    kernel: int,
-    low: list[tuple[int, int]],
+    kernel_fac: FactoredInteger,
     high: list[tuple[int, int]],
     truncation: int,
     start: int,
 ) -> tuple[int, ...]:
     """Coefficients start..truncation-1 of (1/Phi_K) * (1 - sum of e_h * x**h)
-    when every high h is at most start, K = kernel.
+    when every high h is at most start, K = kernel_fac (1/(1 - x) in place
+    of 1/Phi_K for K = 1).
 
-    With L one period of 1/Phi_K, coefficient j >= start is
+    With L one period of 1/Phi_K, built afresh at half length by
+    _inverse_period, coefficient j >= start is
     L[j mod K] - sum of e_h * L[(j - h) mod K] over every h, which depends on
     j mod K alone.  So one tail period S is built, grouping the high
     divisors by residue r mod K into weights w_r, and tiled from start mod K.
     """
-    period = _dense_product(kernel, low, [])
+    period = _inverse_period(kernel_fac)
+    kernel = len(period)
     weights: dict[int, int] = {}
     for h, sign in high:
         r = h % kernel
@@ -202,9 +236,9 @@ def _truncated_product(
 
     - Periodic: when every high divisor is at most start and the low
       factors are exactly those of 1/Phi_K for K the largest low divisor
-      (see _low_kernel), one period of 1/Phi_K is built densely at
-      truncation K and the requested coefficients are read from one tail
-      period (see _periodic_tail).  This is every certificate of the
+      (see _low_kernel), one period of 1/Phi_K is built at half length
+      (see _inverse_period) and the requested coefficients are read from
+      one tail period (see _periodic_tail).  This is every certificate of the
       hunter, in both modes.  It costs O(#div(K) * K + #residues * K +
       #high + (truncation - start)) and holds O(K + truncation - start),
       independent of the truncation itself.
@@ -221,9 +255,9 @@ def _truncated_product(
     for d, mu in _mobius_unit_divisors(n, truncation - 1):
         (low if 2 * d < truncation else high).append((d, exponent * mu))
     if all(d <= start for d, _ in high):
-        kernel = _low_kernel(n, low)
-        if kernel is not None:
-            return _periodic_tail(kernel, low, high, truncation, start)
+        kernel_fac = _low_kernel(n, low)
+        if kernel_fac is not None:
+            return _periodic_tail(kernel_fac, high, truncation, start)
     coeffs = _dense_product(truncation, low, high)
     return tuple(islice(coeffs, start, None) if start else coeffs)
 
@@ -297,14 +331,16 @@ def phi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> Cyclotomi
 def _c_table_cached(n: int) -> InverseCoefficientTable:
     if n == 1:
         return InverseCoefficientTable(1, (-1,))
-    return InverseCoefficientTable(n, inverse_phi_truncated(factor(n), n))
+    return InverseCoefficientTable(n, tuple(_inverse_period(factor(n))))
 
 
 def c_table(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> InverseCoefficientTable:
     """The length-n period of c(n, .): 1/Phi_n expanded modulo x**n.
 
-    The expansion is the truncated divisor product, so for n > 1 it costs
-    O(n) per divisor d of n with 2d < n.
+    For n > 1 the truncated divisor product runs only to (n - phi(n))/2 and
+    the anti-palindrome of Psi_n supplies the rest (see _inverse_period), so
+    a table costs O((n - phi(n))/2) per divisor d of n below (n - phi(n))/4,
+    plus O(n).  Tables are cached, a bounded number of them.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -320,7 +356,8 @@ def psi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> PsiPoly:
     is the negated prefix of length n - phi(n) + 1 of that period.
     """
     period = c_table(n, degree_budget=degree_budget).period
-    degree = n - euler_phi(factor(n))
+    # the last nonzero entry: period[deg] = -1 for n >= 2, period[0] for n = 1
+    degree = next(j for j in range(n - 1, -1, -1) if period[j])
     return PsiPoly(n, tuple(-c for c in period[: degree + 1]))
 
 

@@ -169,7 +169,9 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-@lru_cache(maxsize=None)
+# bounded, since a library loop over v would otherwise keep every cluster it
+# finds, t primes each; 512 holds all 371 searches of the acceptance grid
+@lru_cache(maxsize=512)
 def _cluster_cached(
     modulus: int, count: int, num: int, den: int, floor_n: int, scan_ceiling: int
 ) -> PrimeCluster:

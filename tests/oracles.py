@@ -116,10 +116,7 @@ def divisor_product(n: int, order: int, exponent: int) -> list[int]:
         cofactor = trial_factor(n // d)
         if any(e > 1 for _, e in cofactor):
             continue
-        if exponent * (-1) ** len(cofactor) == 1:
-            out = mul_series(out, [1] + [0] * (d - 1) + [-1], order)
-        else:
-            out = mul_series(out, geometric_series(d, order), order)
+        out = one_minus_power_loop(out, d, exponent * (-1) ** len(cofactor))
     return out
 
 

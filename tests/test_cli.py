@@ -8,6 +8,7 @@ import pytest
 
 import cyclocert
 from cyclocert import cli
+from cyclocert.arith import factor
 from cyclocert.cli import (
     CertificateDocument,
     main,
@@ -17,7 +18,7 @@ from cyclocert.cli import (
 from cyclocert.cyclo import DEFAULT_DEGREE_BUDGET
 from cyclocert.errors import DocumentFormatError
 from cyclocert.hunter import build_certificate, verify_certificate
-from oracles import cyclotomic_by_division
+from oracles import cyclotomic_by_division, trial_factor
 
 
 def run_cli(capsys, *argv):
@@ -241,6 +242,19 @@ class TestHuntAndVerify:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def _record_expansions(monkeypatch) -> list[int]:
+    """The n whose Phi_n scan expands, in order, from here on."""
+    expanded: list[int] = []
+    stretch = cli._phi_by_stretch
+
+    def recorded(fac, budget):
+        expanded.append(fac.value())
+        return stretch(fac, budget)
+
+    monkeypatch.setattr(cli, "_phi_by_stretch", recorded)
+    return expanded
+
+
 class TestScanCommand:
     def test_small_even_scan(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--m", "2", "--nmax", "3", "--json")
@@ -297,7 +311,7 @@ class TestScanCommand:
         # 3072 = 2**10 * 3 stretches Phi_6 by 512
         for n in [*range(1, 301), 900, 3072, 3150]:
             expected = tuple(cyclotomic_by_division(n))
-            assert cli._phi_by_stretch(n, DEFAULT_DEGREE_BUDGET) == expected, n
+            assert cli._phi_by_stretch(factor(n), DEFAULT_DEGREE_BUDGET) == expected, n
 
     def test_first_occurrences_match_long_division(self, capsys):
         first_seen: dict[int, tuple[int, int]] = {}
@@ -308,6 +322,57 @@ class TestScanCommand:
         code, out, _ = run_cli(capsys, "scan", "--m", "12", "--nmax", "20", "--json")
         assert code == 0
         assert json.loads(out) == expected
+
+    @pytest.mark.parametrize(
+        "m, nmax", [(1, 300), (2, 150), (4, 80), (6, 60), (12, 30), (30, 12), (105, 6)]
+    )
+    @pytest.mark.parametrize("kmax", [None, -2, 0, 1, 3, 40])
+    def test_skipped_n_add_no_value(self, capsys, m, nmax, kmax):
+        # scan expands only the n that can add a value; the rows are those
+        # of every Phi_{m*j}, j <= nmax, cut after kmax
+        first_seen: dict[int, tuple[int, int]] = {}
+        for n in range(m, m * nmax + 1, m):
+            coeffs = cyclotomic_by_division(n)
+            if kmax is not None:
+                coeffs = coeffs[: max(0, kmax + 1)]
+            for k, value in enumerate(coeffs):
+                first_seen.setdefault(value, (n, k))
+        expected = [{"value": v, "n": n, "k": k} for v, (n, k) in sorted(first_seen.items())]
+        argv = ["scan", "--m", str(m), "--nmax", str(nmax), "--json"]
+        if kmax is not None:
+            argv += ["--kmax", str(kmax)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out) == expected
+
+    def test_only_n_with_three_primes_and_no_repeated_kernel_expand(self, capsys, monkeypatch):
+        expanded = _record_expansions(monkeypatch)
+        assert run_cli(capsys, "scan", "--m", "1", "--nmax", "300")[0] == 0
+        # Phi_1 to Phi_4 (Phi_4 has the first 0), then only the squarefree n
+        # with three or more primes
+        later = [
+            n for n in range(5, 301)
+            if len(factors := trial_factor(n)) >= 3 and all(e == 1 for _, e in factors)
+        ]
+        assert expanded == [1, 2, 3, 4] + later
+
+    @pytest.mark.parametrize(
+        "m, budget, n",
+        [
+            # 13 is prime: -1, 0 and 1 are seen by then, so it adds nothing
+            (1, 10, 13),
+            # 60 = 2 * 30: rad(60) = 30 was scanned, and Phi_30 holds a 0
+            (30, 8, 60),
+        ],
+    )
+    def test_budget_is_checked_before_the_skip(self, capsys, monkeypatch, m, budget, n):
+        monkeypatch.setenv("CYCLO_DEGREE_BUDGET", str(budget))
+        code, out, err = run_cli(capsys, "scan", "--m", str(m), "--nmax", str(n // m))
+        assert (code, out, err) == (2, "", f"error: phi({n}) exceeds degree budget {budget}\n")
+        monkeypatch.setenv("CYCLO_DEGREE_BUDGET", str(10**6))
+        expanded = _record_expansions(monkeypatch)
+        assert run_cli(capsys, "scan", "--m", str(m), "--nmax", str(n // m))[0] == 0
+        assert n not in expanded
 
     def test_huge_prime_modulus_rejected_before_factoring(self, capsys):
         # trial division of this 63-bit prime would take minutes

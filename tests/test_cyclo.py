@@ -233,9 +233,9 @@ class TestACoeff:
             assert a_coeff(255255, k) == coeffs[k], k
 
     def test_one_coefficient_does_not_build_phi_n(self, monkeypatch):
-        # a(1616615, k) from K = 85085: its c_table and half of Phi_K take
-        # about 3.2M series updates, where half of Phi_1616615 takes
-        # 24,565,824; the sum over i adds none
+        # a(1616615, k) from K = 85085: half of Phi_K and the half-length
+        # period of 1/Phi_K take about 1.17M series updates, where half of
+        # Phi_1616615 takes 24,565,824; the sum over i adds none
         updates = 0
         apply = TruncatedSeries.apply_one_minus_power
 
@@ -248,7 +248,7 @@ class TestACoeff:
         cyclo._phi_poly_cached.cache_clear()
         cyclo._c_table_cached.cache_clear()
         assert a_coeff(1616615, 300000) == -805
-        assert 0 < updates <= 4_000_000
+        assert 0 < updates <= 1_500_000
 
     def test_periods_per_kernel_stay_bounded(self):
         # each a(210*q*q', 1), q < q' consecutive primes, reads the period of
@@ -301,6 +301,39 @@ class TestCTable:
             tail_start = n - euler_phi(factor(n))
             for j in range(tail_start + 1, n):
                 assert period[j] == 0, (n, j)
+
+
+class TestInversePeriod:
+    # the period of 1/Phi_K is expanded to floor(deg/2) and mirrored,
+    # deg = K - phi(K), on both the cached and the verifier's route
+
+    def test_every_small_kernel_against_psi_oracle(self):
+        parities = set()
+        for n in range(2, 800):
+            psi = psi_by_product(n)
+            parities.add((len(psi) - 1) % 2)
+            expected = [-c for c in psi] + [0] * (n - len(psi))
+            assert cyclo._inverse_period(factor(n)) == expected, n
+            assert list(c_table(n).period) == expected, n
+        assert parities == {0, 1}
+
+    @pytest.mark.parametrize(
+        "n, parity",
+        [(3003, 1), (15015, 1), (30030, 0), (85085, 1), (255255, 1)],
+    )
+    def test_large_kernels_against_divisor_product(self, n, parity):
+        fac = factor(n)
+        assert (n - euler_phi(fac)) % 2 == parity
+        expected = divisor_product(n, n, -1)
+        assert cyclo._inverse_period(fac) == expected
+        cyclo._c_table_cached.cache_clear()
+        assert list(c_table(n).period) == expected
+
+    def test_kernel_one_is_the_geometric_series(self):
+        # the periodic route of a prime N reads the product 1/(1 - x), not
+        # 1/Phi_1 = -1/(1 - x), which c_table(1) special-cases
+        assert cyclo._inverse_period(factor(1)) == [1]
+        assert c_table(1).period == (-1,)
 
 
 class TestPhiTruncated:

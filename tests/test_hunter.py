@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cyclocert
+from cyclocert import hunter
 from cyclocert.arith import FactoredInteger, PrimeCluster, euler_phi, factor, is_prime, radical
 from cyclocert.cyclo import c_table, inverse_phi_truncated, phi_poly, phi_truncated
 from cyclocert.errors import SearchBoundExceededError
@@ -144,6 +145,24 @@ class TestBuildCertificate:
     def test_scan_ceiling_propagates(self):
         with pytest.raises(SearchBoundExceededError):
             build_certificate(15, -2, "a", scan_ceiling=10)
+
+    def test_cluster_cache_stays_bounded(self):
+        # the acceptance grid's 1,260 builds search 371 distinct clusters:
+        # all of them stay cached, so every repeat is a hit
+        hunter._cluster_cached.cache_clear()
+        for m in range(1, 31):
+            for v in range(-10, 11):
+                for mode in ("a", "c"):
+                    build_certificate(m, v, mode)
+        info = hunter._cluster_cached.cache_info()
+        assert (info.misses, info.hits) == (371, 889)
+        assert info.currsize == info.misses
+        # a library loop over v: each v at m = 6 needs its own t
+        for v in range(1, 530):
+            build_certificate(6, v, "c")
+        info = hunter._cluster_cached.cache_info()
+        assert info.maxsize is not None and info.misses > info.maxsize
+        assert info.currsize <= info.maxsize
 
 
 class TestPredictWindow:
