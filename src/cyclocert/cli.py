@@ -24,12 +24,12 @@ from .arith import (
     DEFAULT_SCAN_CEILING,
     FactoredInteger,
     PrimeCluster,
-    euler_phi,
     factor,
     radical,
 )
 from .cyclo import DEFAULT_DEGREE_BUDGET, a_coeff, c_coeff, phi_poly
-from .errors import CycloError, DegreeBudgetExceededError, DocumentFormatError, MACHINE_INT_MAX
+from .cyclo import _check_degree_budget, _check_phi_budget
+from .errors import CycloError, DocumentFormatError, MACHINE_INT_MAX
 from .hunter import (
     Certificate,
     TargetPlan,
@@ -70,7 +70,6 @@ class CertificateDocument:
 
     certificate: Certificate
     verification: VerificationReport | None = None
-    schema_version: str = SCHEMA_VERSION
 
 
 def _factors_to_json(n: FactoredInteger) -> list[list[int]]:
@@ -90,7 +89,7 @@ def serialize_document(document: CertificateDocument) -> str:
     cert = document.certificate
     plan = cert.plan
     data: dict = {
-        "schema_version": document.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "mode": cert.mode,
         "m": cert.m_original,
         "v": cert.v,
@@ -289,15 +288,16 @@ def cmd_coeff(args: argparse.Namespace) -> int:
 
 
 def cmd_hunt(args: argparse.Namespace) -> int:
+    budget = _env_degree_budget()
     certificate = build_certificate(
         args.m,
         args.value,
         args.mode,
         args.ratio,
         scan_ceiling=_env_scan_ceiling(),
-        degree_budget=_env_degree_budget(),
+        degree_budget=budget,
     )
-    report = verify_certificate(certificate, degree_budget=_env_degree_budget())
+    report = verify_certificate(certificate, degree_budget=budget)
     if not report.passed:
         print(f"internal error: fresh certificate failed verification: {report.reasons}",
               file=sys.stderr)
@@ -322,8 +322,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    # Phi_n(x) = Phi_rad(n)(x**s) with s = n / rad(n), so n is skipped, after
-    # its budget check, when it cannot add a value:
+    # n gets the budget checks of coeff a around the factor(n) that the skip
+    # rules read.  phi_poly(n) builds Phi_n(x) = Phi_rad(n)(x**s), s = n /
+    # rad(n), from the cached Phi_rad(n), so n is skipped, after its budget
+    # check, when it cannot add a value:
     # - omega(n) <= 2 and -1, 0 and 1 have all been seen: Phi_1, Phi_p and
     #   the binary Phi_pq have every coefficient in {-1, 0, 1} (Migotti,
     #   1883), and stretching adds only zeros;
@@ -334,13 +336,15 @@ def cmd_scan(args: argparse.Namespace) -> int:
     first_seen: dict[int, tuple[int, int]] = {}
     for multiplier in range(1, args.nmax + 1):
         n = args.m * multiplier
-        fac = _budgeted_factor(n, budget)
+        _check_degree_budget(n, budget)
+        fac = factor(n)
+        _check_phi_budget(fac, budget)
         if len(fac.factors) <= 2 and {-1, 0, 1} <= first_seen.keys():
             continue
         rad = radical(fac).value()
         if rad < n and rad % args.m == 0 and 0 in first_seen:
             continue
-        coeffs = _phi_by_stretch(fac, budget)
+        coeffs = phi_poly(n, degree_budget=budget).coeffs
         if args.kmax is not None:
             coeffs = coeffs[: max(0, args.kmax + 1)]
         new = set(coeffs).difference(first_seen)
@@ -357,33 +361,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
         for value, n, k in rows:
             print(f"{value:>8}  {n:>10}  {k:>8}")
     return 0
-
-
-def _budgeted_factor(n: int, budget: int) -> FactoredInteger:
-    # phi(n) is checked for n itself, so that an excess is reported for n as
-    # phi_poly(n) would report it, and never for its kernel against
-    # budget // s; phi(n) exceeds the budget past 2 * budget**2, which is
-    # checked before factor.
-    if n > 2 * budget * budget:
-        raise DegreeBudgetExceededError(f"phi({n}) certainly exceeds budget {budget}")
-    fac = factor(n)
-    if euler_phi(fac) > budget:
-        raise DegreeBudgetExceededError(f"phi({n}) exceeds degree budget {budget}")
-    return fac
-
-
-def _phi_by_stretch(fac: FactoredInteger, budget: int) -> tuple[int, ...]:
-    # Phi_n(x) = Phi_kernel(x**s) with s = n / kernel: compute over the
-    # squarefree kernel, then spread the exponents; the caller has checked
-    # phi(n) = s * phi(kernel) against the budget
-    kernel = radical(fac).value()
-    s = fac.value() // kernel
-    base = phi_poly(kernel, degree_budget=budget // s).coeffs
-    if s == 1:
-        return base
-    out = [0] * ((len(base) - 1) * s + 1)
-    out[::s] = base
-    return tuple(out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -72,11 +72,20 @@ class InverseCoefficientTable:
 
 
 def _check_degree_budget(n: int, degree_budget: int) -> None:
+    """The budget checks on n that come before factoring it."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if degree_budget < 1:
         raise DegreeBudgetExceededError(f"degree budget {degree_budget} is not positive")
     # phi(n) >= sqrt(n/2) for every n, so huge n can be rejected unfactored
     if n > 2 * degree_budget * degree_budget:
         raise DegreeBudgetExceededError(f"phi({n}) certainly exceeds budget {degree_budget}")
+
+
+def _check_phi_budget(fac: FactoredInteger, degree_budget: int) -> None:
+    """The budget check on n once it is factored: phi(n) within the budget."""
+    if euler_phi(fac) > degree_budget:
+        raise DegreeBudgetExceededError(f"phi({fac.value()}) exceeds degree budget {degree_budget}")
 
 
 def _mobius_unit_divisors(n: FactoredInteger, bound: int) -> list[tuple[int, int]]:
@@ -292,9 +301,9 @@ def inverse_phi_truncated(
     return _truncated_product(n, truncation, start, -1)
 
 
-# keyed on the factorization phi_poly already holds for its budget check;
-# bounded, since a scan would otherwise keep every polynomial it visits;
-# a_coeff reads Phi_K from it, one K for every k of one n
+# keyed on the factorization of a squarefree n, since phi_poly stretches
+# Phi_rad for every other n; bounded, since a scan would otherwise keep every
+# polynomial it visits; a_coeff reads Phi_K from it, one K for every k of one n
 @lru_cache(maxsize=16)
 def _phi_poly_cached(fac: FactoredInteger) -> CyclotomicPoly:
     n = fac.value()
@@ -311,18 +320,27 @@ def _phi_poly_cached(fac: FactoredInteger) -> CyclotomicPoly:
 
 def _factor_within_budget(n: int, degree_budget: int) -> FactoredInteger:
     """factor(n), once n is known positive and phi(n) within the budget."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
     _check_degree_budget(n, degree_budget)
     fac = factor(n)
-    if euler_phi(fac) > degree_budget:
-        raise DegreeBudgetExceededError(f"phi({n}) exceeds degree budget {degree_budget}")
+    _check_phi_budget(fac, degree_budget)
     return fac
 
 
 def phi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> CyclotomicPoly:
-    """Exact Phi_n, computed at half the truncation and mirrored (n > 1)."""
-    return _phi_poly_cached(_factor_within_budget(n, degree_budget))
+    """Exact Phi_n, as Phi_rad(x**s) with rad = rad(n) and s = n/rad.
+
+    Only the squarefree Phi_rad is expanded, by the truncated divisor
+    product of rad at half its degree, mirrored (rad > 1) and cached; its
+    coefficients are then spread s apart.  The cost is that half-length
+    product over the divisors of rad, plus O(phi(n)) for the stretch.
+    """
+    base = _phi_poly_cached(radical(_factor_within_budget(n, degree_budget)))
+    s = n // base.n
+    if s == 1:
+        return base
+    coeffs = [0] * ((len(base.coeffs) - 1) * s + 1)
+    coeffs[::s] = base.coeffs
+    return CyclotomicPoly(n, tuple(coeffs))
 
 
 # bounded, since a_coeff keeps one period per kernel K = rad(n)/p it

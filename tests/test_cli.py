@@ -7,8 +7,7 @@ from pathlib import Path
 import pytest
 
 import cyclocert
-from cyclocert import cli
-from cyclocert.arith import factor
+from cyclocert import cli, cyclo
 from cyclocert.cli import (
     CertificateDocument,
     main,
@@ -245,13 +244,13 @@ class TestHuntAndVerify:
 def _record_expansions(monkeypatch) -> list[int]:
     """The n whose Phi_n scan expands, in order, from here on."""
     expanded: list[int] = []
-    stretch = cli._phi_by_stretch
+    build = cli.phi_poly
 
-    def recorded(fac, budget):
-        expanded.append(fac.value())
-        return stretch(fac, budget)
+    def recorded(n, **kwargs):
+        expanded.append(n)
+        return build(n, **kwargs)
 
-    monkeypatch.setattr(cli, "_phi_by_stretch", recorded)
+    monkeypatch.setattr(cli, "phi_poly", recorded)
     return expanded
 
 
@@ -307,11 +306,27 @@ class TestScanCommand:
         assert err == f"error: phi({m}) exceeds degree budget {budget}\n"
         assert run_cli(capsys, "coeff", "a", str(m), "1") == (2, "", err)
 
-    def test_stretch_matches_long_division(self):
-        # 3072 = 2**10 * 3 stretches Phi_6 by 512
-        for n in [*range(1, 301), 900, 3072, 3150]:
-            expected = tuple(cyclotomic_by_division(n))
-            assert cli._phi_by_stretch(factor(n), DEFAULT_DEGREE_BUDGET) == expected, n
+    @pytest.mark.parametrize("budget", [0, -3, 3, 10**6])
+    @pytest.mark.parametrize("m", [0, 1, 12, 13, 4611686014132420609])
+    def test_budget_errors_match_coeff_a(self, capsys, monkeypatch, budget, m):
+        # scan checks each n with the checks of phi_poly and a_coeff
+        monkeypatch.setenv("CYCLO_DEGREE_BUDGET", str(budget))
+        code, _, err = run_cli(capsys, "scan", "--m", str(m), "--nmax", "1")
+        assert run_cli(capsys, "coeff", "a", str(m), "0")[::2] == (code, err)
+
+    def test_only_squarefree_polynomials_are_cached(self, monkeypatch, capsys):
+        # Phi_n for a non-squarefree n is Phi_rad(n) stretched, never cached
+        built = []
+        cached = cyclo._phi_poly_cached
+
+        def recorded(fac):
+            built.append(fac)
+            return cached(fac)
+
+        cached.cache_clear()
+        monkeypatch.setattr(cyclo, "_phi_poly_cached", recorded)
+        assert run_cli(capsys, "scan", "--m", "12", "--nmax", "20")[0] == 0
+        assert built and all(e == 1 for fac in built for _, e in fac.factors)
 
     def test_first_occurrences_match_long_division(self, capsys):
         first_seen: dict[int, tuple[int, int]] = {}

@@ -145,6 +145,36 @@ class TestPhiPoly:
         for n in range(1, 121):
             assert phi_poly(n).coeffs == tuple(cyclotomic_by_division(n)), n
 
+    def test_stretch_matches_long_division(self):
+        # 3072 = 2**10 * 3 stretches Phi_6 by 512
+        for n in [*range(1, 301), 900, 3072, 3150]:
+            assert phi_poly(n).coeffs == tuple(cyclotomic_by_division(n)), n
+
+    def test_non_squarefree_n_expands_only_its_radical(self, monkeypatch):
+        # Phi_n(x) = Phi_210(x**s) for n = 2**j * 105, s = n/210: the full
+        # divisor product of n would take 68,615 and 1,097,735 series updates
+        updates = 0
+        apply = TruncatedSeries.apply_one_minus_power
+
+        def counted(series, d, sign):
+            nonlocal updates
+            updates += max(len(series.coeffs) - d, 0)
+            apply(series, d, sign)
+
+        monkeypatch.setattr(TruncatedSeries, "apply_one_minus_power", counted)
+        base = phi_poly(210).coeffs
+        counts = []
+        for n in (210, 2**10 * 105, 2**14 * 105):
+            cyclo._phi_poly_cached.cache_clear()
+            cyclo._c_table_cached.cache_clear()
+            updates = 0
+            coeffs = phi_poly(n).coeffs
+            counts.append(updates)
+            # a(n, k) = a(210, k/s) when s | k, and 0 otherwise
+            assert coeffs[:: n // 210] == base
+            assert sum(map(abs, coeffs)) == sum(map(abs, base))
+        assert counts == [141, 141, 141]
+
     def test_self_reciprocal(self):
         for n in range(2, 121):
             coeffs = phi_poly(n).coeffs
