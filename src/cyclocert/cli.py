@@ -31,6 +31,7 @@ from .cyclo import DEFAULT_DEGREE_BUDGET, a_coeff, c_coeff, phi_poly
 from .cyclo import _check_degree_budget, _check_phi_budget
 from .errors import CycloError, DocumentFormatError, MACHINE_INT_MAX
 from .hunter import (
+    DEFAULT_RATIO,
     Certificate,
     TargetPlan,
     VerificationReport,
@@ -381,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_hunt.add_argument("--m", type=int, required=True)
     p_hunt.add_argument("--value", type=int, required=True)
     p_hunt.add_argument("--mode", choices=("a", "c"), required=True)
-    p_hunt.add_argument("--ratio", type=_parse_ratio, default=Fraction(15, 8),
-                        help="interval ratio NUM/DEN, 1 < NUM/DEN < 2 (default 15/8)")
+    p_hunt.add_argument("--ratio", type=_parse_ratio, default=DEFAULT_RATIO,
+                        help=f"interval ratio NUM/DEN, 1 < NUM/DEN < 2 (default {DEFAULT_RATIO})")
     p_hunt.add_argument("--out", help="write the document here instead of stdout")
     p_hunt.set_defaults(func=cmd_hunt)
 

@@ -210,13 +210,13 @@ def _periodic_tail(
     when every high h is at most start, K = kernel_fac (1/(1 - x) in place
     of 1/Phi_K for K = 1).
 
-    With L one period of 1/Phi_K, built afresh at half length by
-    _inverse_period, coefficient j >= start is
-    L[j mod K] - sum of e_h * L[(j - h) mod K] over every h, which depends on
-    j mod K alone.  So one tail period S is built, grouping the high
-    divisors by residue r mod K into weights w_r, and tiled from start mod K.
+    With L one period of 1/Phi_K, read from c_table's memo, coefficient
+    j >= start is L[j mod K] - sum of e_h * L[(j - h) mod K] over every h,
+    which depends on j mod K alone.  So one tail period S is built, grouping
+    the high divisors by residue r mod K into weights w_r, and tiled from
+    start mod K.
     """
-    period = _inverse_period(kernel_fac)
+    period = (1,) if kernel_fac.is_one else _c_table_cached(kernel_fac).period
     kernel = len(period)
     weights: dict[int, int] = {}
     for h, sign in high:
@@ -245,11 +245,11 @@ def _truncated_product(
 
     - Periodic: when every high divisor is at most start and the low
       factors are exactly those of 1/Phi_K for K the largest low divisor
-      (see _low_kernel), one period of 1/Phi_K is built at half length
-      (see _inverse_period) and the requested coefficients are read from
-      one tail period (see _periodic_tail).  This is every certificate of the
-      hunter, in both modes.  It costs O(#div(K) * K + #residues * K +
-      #high + (truncation - start)) and holds O(K + truncation - start),
+      (see _low_kernel), one period of 1/Phi_K is read from c_table's memo
+      and the requested coefficients are read from one tail period (see
+      _periodic_tail).  This is every certificate of the hunter, in both
+      modes.  It costs O(#div(K) * K) on a memo miss plus O(#residues * K +
+      #high + (truncation - start)), and holds O(K + truncation - start),
       independent of the truncation itself.
     - Dense: otherwise, the seeded in-place product of _dense_product,
       O(#low * truncation + #high) time and one list of length truncation
@@ -279,9 +279,10 @@ def phi_truncated(n: FactoredInteger, truncation: int, start: int = 0) -> tuple[
     tuple of coefficients start..truncation-1, of length truncation - start.
     Low divisors have 2d < truncation, high ones are the rest.  Where every
     high divisor is at most start and the low ones make exactly 1/Phi_K, K
-    the largest of them, the result is tiled from one period of length K:
-    O(#div(K) * K + #residues mod K * K + #high + (truncation - start))
-    time and O(K + truncation - start) memory.  Otherwise the dense product
+    the largest of them, the result is tiled from one period of length K,
+    read from c_table's memo: O(#div(K) * K) to build it on a miss, plus
+    O(#residues mod K * K + #high + (truncation - start)) time, and
+    O(K + truncation - start) memory.  Otherwise the dense product
     costs O(#low * truncation + #high), never governed by n itself, and
     holds one list of length truncation plus the returned tuple.  Both
     routes raise ArithmeticOverflowError when a coefficient leaves the
@@ -343,13 +344,15 @@ def phi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> Cyclotomi
     return CyclotomicPoly(n, tuple(coeffs))
 
 
-# bounded, since a_coeff keeps one period per kernel K = rad(n)/p it
-# meets; 32 holds every kernel of the acceptance grid (m <= 30)
+# one period of 1/Phi_n per factored n, read by c_table and by the periodic
+# route of _truncated_product (the verifier's), whose K is factored off N's
+# primes; bounded, since a_coeff keeps one per kernel K = rad(n)/p it meets;
+# 32 holds every kernel of the acceptance grid (m <= 30)
 @lru_cache(maxsize=32)
-def _c_table_cached(n: int) -> InverseCoefficientTable:
-    if n == 1:
+def _c_table_cached(fac: FactoredInteger) -> InverseCoefficientTable:
+    if fac.is_one:
         return InverseCoefficientTable(1, (-1,))
-    return InverseCoefficientTable(n, tuple(_inverse_period(factor(n))))
+    return InverseCoefficientTable(fac.value(), tuple(_inverse_period(fac)))
 
 
 def c_table(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> InverseCoefficientTable:
@@ -364,7 +367,7 @@ def c_table(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> InverseCoe
         raise ValueError(f"n must be positive, got {n}")
     if n > degree_budget:
         raise DegreeBudgetExceededError(f"{n} exceeds degree budget {degree_budget}")
-    return _c_table_cached(n)
+    return _c_table_cached(factor(n))
 
 
 def psi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> PsiPoly:

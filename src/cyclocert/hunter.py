@@ -305,7 +305,8 @@ def verify_certificate(
     from N and the truncation alone.  For a valid certificate the low ones
     are exactly those of 1/Phi_kernel and every high one (a cluster prime)
     lies at or below the first coefficient read, so the product takes its
-    periodic route: one period of 1/Phi_kernel, built afresh, then one tail
+    periodic route: one period of 1/Phi_kernel, read from c_table's memo
+    (keyed on the kernel as factored off N's own primes), then one tail
     period tiled over the read range, O(#div(kernel) * kernel + t + W) for
     W coefficients read, independent of p_1 and so of v.  Any other N (a
     tampered one) takes the dense route, O(#low * truncation + t).  An
@@ -333,18 +334,13 @@ def verify_certificate(
     if not 0 < den < num < 2 * den:
         flag(REASON_RATIO)
 
-    # kernel: squarefree, matches the original modulus (m = 1 delegates to 2)
+    # kernel: rad(m), or 2 for m = 1 (which delegates to 2), so squarefree
     m_fac = factor(certificate.m_original)
     true_kernel = radical(m_fac).value()
     kernel_fac: FactoredInteger | None = None
     if kernel >= 2:
         kernel_fac = factor(kernel)
-        squarefree = all(e == 1 for _, e in kernel_fac.factors)
-        if certificate.m_original == 1:
-            matches = kernel == 2
-        else:
-            matches = kernel == true_kernel
-        if not squarefree or not matches:
+        if kernel != (2 if certificate.m_original == 1 else true_kernel):
             flag(REASON_KERNEL)
         if mobius(kernel_fac) != plan.mu_kernel:
             flag(REASON_KERNEL)
@@ -412,11 +408,10 @@ def verify_certificate(
     if certificate.truncation != 2 * p_first:
         flag(REASON_TRUNCATION)
 
-    # lift arithmetic back to the original modulus
+    # lift arithmetic back to m; the stretch is factored only if it is m // rad(m)
     if certificate.stretch != certificate.m_original // true_kernel:
         flag(REASON_LIFT)
-    lifted = (certificate.N_lifted, certificate.k_lifted)
-    if certificate.stretch < 1 or lift_to_modulus(certificate) != lifted:
+    elif lift_to_modulus(certificate) != (certificate.N_lifted, certificate.k_lifted):
         flag(REASON_LIFT)
     if not m_fac.divides(certificate.N_lifted):
         flag(REASON_LIFT)

@@ -172,7 +172,7 @@ def test_criterion_5_oracle_equivalence():
         assert time.perf_counter() - started < 60
 
 
-def test_criterion_6_adversarial_verification(tmp_path):
+def test_criterion_6_adversarial_verification(tmp_path, monkeypatch):
     """Mutated certificate documents are rejected with the matching reason."""
     with criterion(6, "adversarial verification"):
         base_path = tmp_path / "base.json"
@@ -234,6 +234,32 @@ def test_criterion_6_adversarial_verification(tmp_path):
             code, report = _verify_and_capture(path)
             assert code == 1, expected_reason
             assert expected_reason in report["reasons"], (expected_reason, report["reasons"])
+
+        # the whole reason list, for the codes the cases above never raise;
+        # no small document reaches "overflow", which the series tests cover
+        assert (p1, p2, q) == (151, 181, 307)
+        exact_cases = [
+            (["kernel", "composition", "plan"], mutate("kernel", kernel=5)),
+            (["kernel", "plan"], mutate("mu-kernel", mu_kernel=-1)),
+            (["ratio"], mutate("ratio", ratio_num=2, ratio_den=1)),
+            (["plan"], mutate("delta", delta=3)),
+            (["primality", "composition"], mutate("q-composite", q=303)),  # 303 = 3*101
+            (
+                ["q-bound", "coprimality", "lift", "value-mismatch"],
+                mutate("q-in-kernel", q=5, N_factors=n_factors((3, 1), (5, 2), (p1, 1), (p2, 1))),
+            ),
+        ]
+        for expected_reasons, path in exact_cases:
+            code, report = _verify_and_capture(path)
+            assert (code, report["reasons"]) == (1, expected_reasons), path.name
+
+        # the plan check's table of c(kernel, .) is over the degree budget
+        untouched = mutate("untouched")
+        code, report = _verify_and_capture(untouched)
+        assert (code, report["reasons"]) == (0, [])
+        monkeypatch.setenv("CYCLO_DEGREE_BUDGET", "10")
+        code, report = _verify_and_capture(untouched)
+        assert (code, report["reasons"]) == (1, ["plan"])
 
 
 def _verify_and_capture(path):

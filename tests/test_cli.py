@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cyclocert
-from cyclocert import cli, cyclo
+from cyclocert import cli, cyclo, hunter
 from cyclocert.cli import (
     CertificateDocument,
     main,
@@ -204,15 +204,27 @@ class TestHuntAndVerify:
                 assert report["computed_value"] not in (None, 300)
 
     @pytest.mark.parametrize("mode", ["a", "c"])
-    def test_verify_rejects_tampered_lift(self, capsys, tmp_path, mode):
+    def test_verify_rejects_tampered_lift(self, capsys, tmp_path, monkeypatch, mode):
         path = tmp_path / "cert.json"
         run_cli(capsys, "hunt", "--m", "12", "--value", "-3", "--mode", mode, "--out", str(path))
         original = json.loads(path.read_text())
         assert original["stretch"] == 2
         extra_prime = sorted(original["N_lifted_factors"] + [[5, 1]])
+        # trial division of this prime stretch would run for hours: a stretch
+        # other than m // rad(m) must be rejected without factoring it
+        hostile = 9223372036854775783
+        factor = hunter.factor
+
+        def guarded(n):
+            if n == hostile:
+                raise AssertionError("the document's stretch was factored")
+            return factor(n)
+
+        monkeypatch.setattr(hunter, "factor", guarded)
         for field, value in (
             ("stretch", 1),
             ("stretch", 3),
+            ("stretch", hostile),
             ("N_lifted_factors", original["N_factors"]),
             ("N_lifted_factors", extra_prime),
             ("k_lifted", original["k_lifted"] + 1),

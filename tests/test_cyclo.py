@@ -335,7 +335,7 @@ class TestCTable:
 
 class TestInversePeriod:
     # the period of 1/Phi_K is expanded to floor(deg/2) and mirrored,
-    # deg = K - phi(K), on both the cached and the verifier's route
+    # deg = K - phi(K), by c_table's memo, which the verifier's route reads
 
     def test_every_small_kernel_against_psi_oracle(self):
         parities = set()

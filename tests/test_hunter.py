@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cyclocert
-from cyclocert import hunter
+from cyclocert import cyclo, hunter
 from cyclocert.arith import FactoredInteger, PrimeCluster, euler_phi, factor, is_prime, radical
 from cyclocert.cyclo import c_table, inverse_phi_truncated, phi_poly, phi_truncated
 from cyclocert.errors import SearchBoundExceededError
@@ -278,6 +278,50 @@ class TestVerifyCertificate:
         window = predict_window(cert)
         assert report.computed_value == window[1] == -3
         assert not report.passed
+
+
+def _clear_caches() -> None:
+    cyclo._c_table_cached.cache_clear()
+    cyclo._phi_poly_cached.cache_clear()
+    hunter._cluster_cached.cache_clear()
+
+
+class TestOnePeriodPerKernel:
+    # the verifier's periodic route reads the period of 1/Phi_kernel from
+    # c_table's memo, keyed on the kernel as factored off N's primes
+
+    @pytest.mark.parametrize("m", [30, 2310])
+    def test_build_and_verify_expand_the_period_once(self, monkeypatch, m):
+        built = []
+        inverse_period = cyclo._inverse_period
+
+        def counted(kernel):
+            built.append(kernel.value())
+            return inverse_period(kernel)
+
+        monkeypatch.setattr(cyclo, "_inverse_period", counted)
+        _clear_caches()
+        cert = build_certificate(m, 3)
+        assert verify_certificate(cert, full_window=True).passed
+        assert built == [m]
+        assert verify_certificate(cert, full_window=True).passed
+        assert built == [m]
+
+    @pytest.mark.parametrize("m, mode", [(30, "a"), (2310, "c")])
+    def test_periodic_route_never_factors(self, monkeypatch, m, mode):
+        cert = build_certificate(m, 3, mode)
+        expand = phi_truncated if mode == "a" else inverse_phi_truncated
+        horizon, start = cert.truncation, cert.cluster.primes[-1]
+        # start 0 leaves every cluster prime above it: the dense route
+        dense = expand(cert.N, horizon)
+
+        def no_factor(n):
+            raise AssertionError(f"factor({n}) called")
+
+        _clear_caches()
+        monkeypatch.setattr(cyclo, "factor", no_factor)
+        assert expand(cert.N, horizon, start) == dense[start:]
+        assert expand(cert.N, cert.k_kernel + 1, cert.k_kernel) == (cert.v,)
 
 
 # verifies the pickled certificate on stdin with the address space capped at
