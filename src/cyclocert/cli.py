@@ -128,6 +128,13 @@ def _require_int(
     return value
 
 
+def _int_within(value, lo: int) -> bool:
+    """An int, not a bool, within [lo, MACHINE_INT_MAX]."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        return False
+    return lo <= value <= MACHINE_INT_MAX
+
+
 def _parse_factors(raw, key: str) -> FactoredInteger:
     if not isinstance(raw, list) or not raw:
         raise DocumentFormatError(f"field {key!r} must be a non-empty list of [prime, exponent]")
@@ -136,9 +143,8 @@ def _parse_factors(raw, key: str) -> FactoredInteger:
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
-            or not 2 <= item[0] <= MACHINE_INT_MAX
-            or not 1 <= item[1] <= MACHINE_INT_MAX
+            or not _int_within(item[0], 2)
+            or not _int_within(item[1], 1)
         ):
             raise DocumentFormatError(f"field {key!r} entries must be [prime, exponent] pairs")
         pairs.append((item[0], item[1]))
@@ -184,16 +190,11 @@ def parse_document(text: str) -> CertificateDocument:
     if (
         not isinstance(raw_primes, list)
         or not raw_primes
-        or not all(
-            isinstance(p, int) and not isinstance(p, bool) and 2 <= p <= MACHINE_INT_MAX
-            for p in raw_primes
-        )
+        or not all(_int_within(p, 2) for p in raw_primes)
     ):
         raise DocumentFormatError("field 'primes' must be a non-empty list of integers >= 2")
     q = data["q"]
-    if q is not None and (
-        not isinstance(q, int) or isinstance(q, bool) or not 2 <= q <= MACHINE_INT_MAX
-    ):
+    if q is not None and not _int_within(q, 2):
         raise DocumentFormatError("field 'q' must be null or an integer >= 2")
     n_factored = _parse_factors(data["N_factors"], "N_factors")
     k = _require_int(data, "k", 0)

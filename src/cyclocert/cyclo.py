@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import cycle, islice, repeat
-from operator import mul, sub
+from operator import mul, neg, sub
 
 from .arith import FactoredInteger, euler_phi, factor, radical
 from .errors import ArithmeticOverflowError, DegreeBudgetExceededError, MACHINE_INT_MAX
@@ -61,7 +61,7 @@ class InverseCoefficientTable:
     anti-palindromic, since x**n - 1 is anti-reciprocal and Phi_n is
     reciprocal (Moree, "Inverse cyclotomic polynomials", J. Number Theory
     129, 2009): period[deg - j] = -period[j] for deg = n - phi(n), so half
-    of 0..deg determines the period.
+    of 0..deg determines the period; _half_product expands that half.
     """
 
     n: int
@@ -174,32 +174,6 @@ def _low_kernel(n: FactoredInteger, low: list[tuple[int, int]]) -> FactoredInteg
     return kernel_fac
 
 
-def _inverse_period(kernel: FactoredInteger) -> list[int]:
-    """One period, of length K, of the product of (1 - x**d)**(-mu(K/d))
-    over the divisors d of K: 1/Phi_K for K > 1, 1/(1 - x) for K = 1.
-
-    For K > 1 that period is -Psi_K followed by zeros (see
-    InverseCoefficientTable), and Psi_K is anti-palindromic, so with
-    deg = K - phi(K) the entries satisfy period[deg - j] = -period[j].  Only
-    entries 0..floor(deg/2) are expanded, by the seeded product of
-    _dense_product at that truncation; the rest of 1..deg is mirrored and
-    the window deg < j < K is zero.  It costs O(#low * deg/2 + K), where
-    the low divisors of K are those below deg/4.
-    """
-    size = kernel.value()
-    degree = size - euler_phi(kernel)
-    truncation = degree // 2 + 1
-    low: list[tuple[int, int]] = []
-    high: list[tuple[int, int]] = []
-    for d, mu in _mobius_unit_divisors(kernel, truncation - 1):
-        (low if 2 * d < truncation else high).append((d, -mu))
-    period = _dense_product(truncation, low, high)
-    # entries truncation..deg mirror entries deg-truncation..0, negated
-    period.extend(-c for c in reversed(period[: degree - truncation + 1]))
-    period.extend(repeat(0, size - degree - 1))
-    return period
-
-
 def _periodic_tail(
     kernel_fac: FactoredInteger,
     high: list[tuple[int, int]],
@@ -302,21 +276,31 @@ def inverse_phi_truncated(
     return _truncated_product(n, truncation, start, -1)
 
 
+def _half_product(fac: FactoredInteger, degree: int, exponent: int) -> tuple[int, ...]:
+    """Coefficients 0..degree of the product of (1 - x**d)**(exponent * mu(n/d))
+    over the divisors d of n = fac > 1: Phi_n for exponent 1 and degree
+    phi(n), or -Psi_n, the first entries of a period of 1/Phi_n, for
+    exponent -1 and degree n - phi(n).
+
+    Phi_n is palindromic and Psi_n anti-palindromic (see
+    InverseCoefficientTable), so entry degree - j is entry j, negated for
+    exponent -1.  Only entries 0..floor(degree/2) are expanded, by the
+    truncated product; the rest are mirrored as slices.
+    """
+    expand = phi_truncated if exponent == 1 else inverse_phi_truncated
+    lower = expand(fac, degree // 2 + 1)
+    mirror = lower[(degree + 1) // 2 - 1 :: -1]
+    return lower + (mirror if exponent == 1 else tuple(map(neg, mirror)))
+
+
 # keyed on the factorization of a squarefree n, since phi_poly stretches
 # Phi_rad for every other n; bounded, since a scan would otherwise keep every
 # polynomial it visits; a_coeff reads Phi_K from it, one K for every k of one n
 @lru_cache(maxsize=16)
 def _phi_poly_cached(fac: FactoredInteger) -> CyclotomicPoly:
-    n = fac.value()
-    if n == 1:
+    if fac.is_one:
         return CyclotomicPoly(1, (-1, 1))
-    phi = euler_phi(fac)
-    half = (phi + 1) // 2  # ceil(phi/2); self-reciprocality supplies the rest
-    lower = phi_truncated(fac, half + 1)
-    if phi == half:  # n = 2: lower is all of Phi_n, and a -1 stop would wrap
-        return CyclotomicPoly(n, lower)
-    # a(n, k) = a(n, phi - k) for k in half+1..phi
-    return CyclotomicPoly(n, lower + lower[phi - half - 1 :: -1])
+    return CyclotomicPoly(fac.value(), _half_product(fac, euler_phi(fac), 1))
 
 
 def _factor_within_budget(n: int, degree_budget: int) -> FactoredInteger:
@@ -344,22 +328,25 @@ def phi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> Cyclotomi
     return CyclotomicPoly(n, tuple(coeffs))
 
 
-# one period of 1/Phi_n per factored n, read by c_table and by the periodic
-# route of _truncated_product (the verifier's), whose K is factored off N's
-# primes; bounded, since a_coeff keeps one per kernel K = rad(n)/p it meets;
-# 32 holds every kernel of the acceptance grid (m <= 30)
+# one period of 1/Phi_n per factored n, read by c_table, by a_coeff and by the
+# periodic route of _truncated_product (the verifier's), whose K is factored
+# off N's primes; bounded, since a_coeff keeps one per kernel K = rad(n)/p it
+# meets; 32 holds every kernel of the acceptance grid (m <= 30)
 @lru_cache(maxsize=32)
 def _c_table_cached(fac: FactoredInteger) -> InverseCoefficientTable:
     if fac.is_one:
         return InverseCoefficientTable(1, (-1,))
-    return InverseCoefficientTable(fac.value(), tuple(_inverse_period(fac)))
+    n = fac.value()
+    degree = n - euler_phi(fac)
+    zeros = (0,) * (n - degree - 1)  # the window degree < j < n
+    return InverseCoefficientTable(n, _half_product(fac, degree, -1) + zeros)
 
 
 def c_table(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> InverseCoefficientTable:
     """The length-n period of c(n, .): 1/Phi_n expanded modulo x**n.
 
     For n > 1 the truncated divisor product runs only to (n - phi(n))/2 and
-    the anti-palindrome of Psi_n supplies the rest (see _inverse_period), so
+    the anti-palindrome of Psi_n supplies the rest (see _half_product), so
     a table costs O((n - phi(n))/2) per divisor d of n below (n - phi(n))/4,
     plus O(n).  Tables are cached, a bounded number of them.
     """
@@ -393,11 +380,12 @@ def a_coeff(n: int, k: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> in
 
         a(Kp, k) = sum over 0 <= i <= min(phi(K), k/p) of a(K, i) * c(K, k - p*i)
 
-    with a(K, .) from phi_poly(K) and c(K, .) from c_table(K), both cached.
-    K <= phi(n), so the budget checks are those of phi_poly(n) and nothing
-    else can exceed the budget.  The cost is O(#div(K) * K) to build both
-    tables, once per K, plus O(min(phi(K), k/p)) per call.  That sum is paid
-    on every call: a loop over the k of one n should read phi_poly(n).
+    with a(K, .) from phi_poly(K) and c(K, .) from c_table's memo, keyed on K
+    as factored off n, both cached.  K <= phi(n), so the budget checks are
+    those of phi_poly(n) and nothing else can exceed the budget.  The cost
+    is O(#div(K) * K) to build both tables, once per K, plus
+    O(min(phi(K), k/p)) per call.  That sum is paid on every call: a loop
+    over the k of one n should read phi_poly(n).
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
@@ -407,15 +395,15 @@ def a_coeff(n: int, k: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> in
         return 0
     if n == 1:
         return (-1, 1)[k]  # Phi_1 = x - 1
-    rad = radical(fac).value()
-    s = n // rad
+    rad = radical(fac)
+    s = n // rad.value()
     if k % s:
         return 0
     k = min(k // s, phi // s - k // s)
-    p = fac.factors[-1][0]
-    base = rad // p  # K
-    coeffs = phi_poly(base, degree_budget=degree_budget).coeffs
-    table = c_table(base, degree_budget=degree_budget)
+    p = rad.factors[-1][0]
+    kernel = FactoredInteger(rad.factors[:-1])  # K = rad/p
+    coeffs = phi_poly(kernel.value(), degree_budget=degree_budget).coeffs
+    table = _c_table_cached(kernel)
     # map stops at the shorter input: i <= phi(K) and p*i <= k
     value = sum(map(mul, coeffs, map(table.lookup, range(k, -1, -p))))
     if abs(value) > MACHINE_INT_MAX:

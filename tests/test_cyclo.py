@@ -342,9 +342,10 @@ class TestInversePeriod:
         for n in range(2, 800):
             psi = psi_by_product(n)
             parities.add((len(psi) - 1) % 2)
-            expected = [-c for c in psi] + [0] * (n - len(psi))
-            assert cyclo._inverse_period(factor(n)) == expected, n
-            assert list(c_table(n).period) == expected, n
+            expected = tuple(-c for c in psi) + (0,) * (n - len(psi))
+            cyclo._c_table_cached.cache_clear()
+            assert cyclo._c_table_cached(factor(n)).period == expected, n
+            assert c_table(n).period == expected, n
         assert parities == {0, 1}
 
     @pytest.mark.parametrize(
@@ -354,16 +355,29 @@ class TestInversePeriod:
     def test_large_kernels_against_divisor_product(self, n, parity):
         fac = factor(n)
         assert (n - euler_phi(fac)) % 2 == parity
-        expected = divisor_product(n, n, -1)
-        assert cyclo._inverse_period(fac) == expected
+        expected = tuple(divisor_product(n, n, -1))
         cyclo._c_table_cached.cache_clear()
-        assert list(c_table(n).period) == expected
+        assert cyclo._c_table_cached(fac).period == expected
+        assert c_table(n).period == expected
 
     def test_kernel_one_is_the_geometric_series(self):
         # the periodic route of a prime N reads the product 1/(1 - x), not
         # 1/Phi_1 = -1/(1 - x), which c_table(1) special-cases
-        assert cyclo._inverse_period(factor(1)) == [1]
+        assert phi_truncated(factor(13), 13, 5) == (1,) * 8
+        assert phi_truncated(factor(13), 20, 13) == (0,) * 7
         assert c_table(1).period == (-1,)
+
+    def test_half_product_against_divisor_product(self):
+        # Phi_n and the first n - phi(n) + 1 entries of the period of 1/Phi_n,
+        # for odd and even degrees and for n squarefree or not
+        parities = set()
+        for n in range(2, 401):
+            fac = factor(n)
+            for exponent, degree in ((1, euler_phi(fac)), (-1, n - euler_phi(fac))):
+                parities.add(degree % 2)
+                expected = tuple(divisor_product(n, degree + 1, exponent))
+                assert cyclo._half_product(fac, degree, exponent) == expected, (n, exponent)
+        assert parities == {0, 1}
 
 
 class TestPhiTruncated:

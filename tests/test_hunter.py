@@ -293,13 +293,14 @@ class TestOnePeriodPerKernel:
     @pytest.mark.parametrize("m", [30, 2310])
     def test_build_and_verify_expand_the_period_once(self, monkeypatch, m):
         built = []
-        inverse_period = cyclo._inverse_period
+        half_product = cyclo._half_product
 
-        def counted(kernel):
-            built.append(kernel.value())
-            return inverse_period(kernel)
+        def counted(fac, degree, exponent):
+            if exponent == -1:  # a period of 1/Phi_n, not Phi_n
+                built.append(fac.value())
+            return half_product(fac, degree, exponent)
 
-        monkeypatch.setattr(cyclo, "_inverse_period", counted)
+        monkeypatch.setattr(cyclo, "_half_product", counted)
         _clear_caches()
         cert = build_certificate(m, 3)
         assert verify_certificate(cert, full_window=True).passed

@@ -1,4 +1,5 @@
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,3 +40,38 @@ def test_runtime_imports_are_standard_library_only():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+# runs coeff, scan and hunt through cli.main and prints the exit codes, then
+# the top-level names of the modules loaded since the interpreter started;
+# argv[1] is the directory holding the package under test
+RUN_COMMANDS = """
+import contextlib, io, sys
+started = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+from cyclocert import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main(["coeff", "a", "105", "7"]),
+        cli.main(["scan", "--m", "6", "--nmax", "20"]),
+        cli.main(["hunt", "--m", "30", "--value", "3", "--mode", "a"]),
+    ]
+print(codes)
+print(*sorted({name.partition(".")[0] for name in set(sys.modules) - started}))
+"""
+
+
+def test_commands_load_standard_library_modules_only():
+    # the zero-runtime-dependency rule, checked on what the commands import
+    # at run time rather than on the import statements alone
+    package_dir = str(Path(cyclocert.__file__).parent.parent)
+    child = subprocess.run(
+        [sys.executable, "-I", "-c", RUN_COMMANDS, package_dir],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    codes, loaded = child.stdout.splitlines()
+    assert codes == "[0, 0, 0]"
+    assert "cyclocert" in loaded.split()
+    outside = set(loaded.split()) - set(sys.stdlib_module_names) - {"cyclocert"}
+    assert outside == set()
