@@ -14,7 +14,7 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import ArithmeticOverflowError, MACHINE_INT_MAX, SearchBoundExceededError
 
@@ -75,13 +75,17 @@ class FactoredInteger:
 
 
 _SMALL_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+_TRIAL_LIMIT = 1 << 12  # trial division settles every n below _TRIAL_LIMIT**2
 
 
 def factor(n: int) -> FactoredInteger:
-    """Factor a machine-width integer by trial division with a 2/3/5 wheel.
+    """Factor a machine-width integer.
 
-    Large composite values are only ever *built* in factored form by this
-    package, never factored, so trial division is all that is needed here.
+    Trial division with a 2/3/5 wheel up to _TRIAL_LIMIT, which settles
+    every n below 2**24 alone.  A larger cofactor, whose primes all exceed
+    the limit, is kept when is_prime accepts it and otherwise split by
+    Brent's rho, _brent_divisor; the pieces wait on an explicit stack, so
+    no input recurses or trial-divides past the limit.
     """
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
@@ -96,7 +100,7 @@ def factor(n: int) -> FactoredInteger:
                 e += 1
             out.append((p, e))
     d, step = 7, 0
-    while d * d <= n:
+    while d * d <= n and d < _TRIAL_LIMIT:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -105,9 +109,55 @@ def factor(n: int) -> FactoredInteger:
             out.append((d, e))
         d += _SMALL_WHEEL[step]
         step = (step + 1) & 7
-    if n > 1:
-        out.append((n, 1))
-    return FactoredInteger(tuple(out))
+    if d * d > n:
+        if n > 1:
+            out.append((n, 1))
+        return FactoredInteger(tuple(out))
+    large: dict[int, int] = {}
+    stack = [n]
+    while stack:
+        u = stack.pop()
+        if is_prime(u):
+            large[u] = large.get(u, 0) + 1
+        else:
+            g = _brent_divisor(u)
+            stack += (g, u // g)
+    return FactoredInteger(tuple(out) + tuple(sorted(large.items())))
+
+
+def _brent_divisor(n: int) -> int:
+    """A divisor 1 < g < n of a composite n with no prime below _TRIAL_LIMIT.
+
+    Brent's cycle-finding rho (Brent, BIT 20, 1980) on x -> x*x + c mod n,
+    with the gcd taken once per 128 steps and the last block replayed step
+    by step when it overshoots to n; c runs 1, 2, ... until a split shows,
+    so the answer is deterministic.  About n**(1/4) steps are expected,
+    some 2**16 for a 64-bit n.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def mobius(n: FactoredInteger) -> int:

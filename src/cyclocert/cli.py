@@ -323,14 +323,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+def _height_bound(fac: FactoredInteger) -> int | None:
+    """A proven bound on every |a(n, k)|, from n's odd primes q1 < q2 < ...
+
+    A(n) = A(rad(n)) by the stretch, and A(2j) = A(j) for odd j because
+    Phi_2j(x) = Phi_j(-x), so the prime 2 and all exponents drop out: 1 for
+    at most two odd primes (Migotti, 1883), q1 - ceil(q1/4) for exactly
+    three (Bachman, J. Number Theory 100, 2003), and None, no bound, for
+    more.
+    """
+    odd = [p for p, _ in fac.factors if p > 2]
+    if len(odd) <= 2:
+        return 1
+    if len(odd) == 3:
+        return odd[0] - (odd[0] + 3) // 4
+    return None
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     # n gets the budget checks of coeff a around the factor(n) that the skip
     # rules read.  phi_poly(n) builds Phi_n(x) = Phi_rad(n)(x**s), s = n /
     # rad(n), from the cached Phi_rad(n), so n is skipped, after its budget
     # check, when it cannot add a value:
-    # - omega(n) <= 2 and -1, 0 and 1 have all been seen: Phi_1, Phi_p and
-    #   the binary Phi_pq have every coefficient in {-1, 0, 1} (Migotti,
-    #   1883), and stretching adds only zeros;
+    # - every value in [-B, B] has been seen, B = _height_bound(n): Phi_n's
+    #   coefficients lie in [-B, B], and --kmax only drops some of them;
     # - n is not squarefree, m | rad(n) and 0 has been seen: rad(n) = m*j'
     #   with j' < n/m was scanned, and Phi_n's first kmax + 1 coefficients
     #   are zeros and a(rad(n), i) for i <= kmax.
@@ -341,7 +357,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         _check_degree_budget(n, budget)
         fac = factor(n)
         _check_phi_budget(fac, budget)
-        if len(fac.factors) <= 2 and {-1, 0, 1} <= first_seen.keys():
+        bound = _height_bound(fac)
+        if bound is not None and all(v in first_seen for v in range(-bound, bound + 1)):
             continue
         rad = radical(fac).value()
         if rad < n and rad % args.m == 0 and 0 in first_seen:

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
 from bisect import bisect_right
+from collections import Counter
 from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cyclocert import arith
 from cyclocert.arith import (
     FactoredInteger,
     PrimeCluster,
@@ -20,7 +22,7 @@ from cyclocert.arith import (
     _SEGMENT_MAX,
     _class_primes,
 )
-from cyclocert.errors import ArithmeticOverflowError, SearchBoundExceededError
+from cyclocert.errors import ArithmeticOverflowError, MACHINE_INT_MAX, SearchBoundExceededError
 
 from oracles import cluster_scan_bruteforce, sieve_primes, trial_factor
 
@@ -50,6 +52,48 @@ class TestFactor:
         assert all(e >= 1 for _, e in fac.factors)
         primes = [p for p, _ in fac.factors]
         assert primes == sorted(primes)
+
+    def test_below_two_to_the_24_trial_division_settles_n(self, monkeypatch):
+        # 4096**2 = 2**24: small n never reach the primality test or rho
+        def refuse(*_):
+            raise AssertionError("n left trial division")
+
+        monkeypatch.setattr(arith, "is_prime", refuse)
+        monkeypatch.setattr(arith, "_brent_divisor", refuse)
+        for n in (16777213, 16777215, 4091 * 4093, 4093**2, 999983, 1616615):
+            assert factor(n).factors == tuple(trial_factor(n))
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            ((2147483647, 2),),  # (2**31 - 1)**2
+            ((9223372036854775783, 1),),  # the largest prime below 2**63
+            ((3037000453, 1), (3037000493, 1)),  # the two primes nearest 2**31.5
+            ((1000000007, 1), (1000000009, 1)),
+            ((3, 1), (4099, 3)),  # 4099: the least prime above the trial limit
+            ((4099, 5),),
+            ((7, 1), (65537, 3)),
+            ((4099, 1), (4111, 1), (2147483647, 1)),
+            # 3825123056546413051, a strong pseudoprime to the bases 2..23
+            ((149491, 1), (747451, 1), (34233211, 1)),
+        ],
+    )
+    def test_cofactors_beyond_trial_division(self, factors):
+        assert factor(FactoredInteger(factors).value()).factors == factors
+
+    @given(
+        st.integers(min_value=1, max_value=4096),
+        st.lists(st.integers(min_value=4096, max_value=1 << 31), min_size=1, max_size=4),
+    )
+    def test_products_of_large_primes(self, small, lows):
+        n, expected = small, Counter(dict(trial_factor(small)))
+        for low in lows:
+            p = next_prime_above(low)
+            if n * p > MACHINE_INT_MAX:
+                break
+            n *= p
+            expected[p] += 1
+        assert factor(n).factors == tuple(sorted(expected.items()))
 
 
 class TestFactoredInteger:

@@ -8,6 +8,7 @@ import pytest
 
 import cyclocert
 from cyclocert import cli, cyclo, hunter
+from cyclocert.arith import FactoredInteger
 from cyclocert.cli import (
     CertificateDocument,
     main,
@@ -372,16 +373,65 @@ class TestScanCommand:
         assert code == 0
         assert json.loads(out) == expected
 
-    def test_only_n_with_three_primes_and_no_repeated_kernel_expand(self, capsys, monkeypatch):
+    def test_only_n_whose_height_bound_leaves_a_value_unseen_expand(
+        self, capsys, monkeypatch
+    ):
         expanded = _record_expansions(monkeypatch)
-        assert run_cli(capsys, "scan", "--m", "1", "--nmax", "300")[0] == 0
-        # Phi_1 to Phi_4 (Phi_4 has the first 0), then only the squarefree n
-        # with three or more primes
-        later = [
-            n for n in range(5, 301)
-            if len(factors := trial_factor(n)) >= 3 and all(e == 1 for _, e in factors)
-        ]
-        assert expanded == [1, 2, 3, 4] + later
+        assert run_cli(capsys, "scan", "--m", "1", "--nmax", "4000")[0] == 0
+        # n expands while a value its height bound admits is unseen: 1 for at
+        # most two odd primes, q1 - ceil(q1/4) for three, no bound for more;
+        # once 0 is seen, a non-squarefree n never expands
+        seen: set[int] = set()
+        expected = []
+        for n in range(1, 4001):
+            factors = trial_factor(n)
+            odd = [p for p, _ in factors if p > 2]
+            if len(odd) <= 3:
+                bound = odd[0] - -(-odd[0] // 4) if len(odd) == 3 else 1
+                if set(range(-bound, bound + 1)) <= seen:
+                    continue
+            if 0 in seen and any(e > 1 for _, e in factors):
+                continue
+            expected.append(n)
+            seen.update(cyclo.phi_poly(n).coeffs)
+        assert expanded == expected
+        assert len(expanded) == 41
+
+    def test_height_bound_against_long_division(self):
+        # no n <= 700 has four odd primes: the least such n is 1155
+        for n in range(1, 701):
+            bound = cli._height_bound(FactoredInteger(tuple(trial_factor(n))))
+            assert max(map(abs, cyclotomic_by_division(n))) <= bound, n
+
+    def test_height_bound_against_phi_poly(self):
+        for n in range(701, 6001):
+            factors = trial_factor(n)
+            bound = cli._height_bound(FactoredInteger(tuple(factors)))
+            odd = [p for p, _ in factors if p > 2]
+            if len(odd) > 3:
+                assert bound is None, n
+            elif len(odd) == 3:
+                assert max(map(abs, cyclo.phi_poly(n).coeffs)) <= bound, n
+
+    @pytest.mark.parametrize("m, nmax", [(1, 1500), (2, 800), (3, 600), (6, 400), (15, 120)])
+    @pytest.mark.parametrize("kmax", [None, 0, 40])
+    def test_rows_match_every_n_expanded(self, capsys, m, nmax, kmax):
+        # too far for long division, so every n goes through phi_poly, which
+        # test_cyclo pins to it; m = 1 reaches -3 at n = 385 and -4 at 1365
+        first_seen: dict[int, tuple[int, int]] = {}
+        for n in range(m, m * nmax + 1, m):
+            coeffs = cyclo.phi_poly(n).coeffs
+            if kmax is not None:
+                coeffs = coeffs[: kmax + 1]
+            for k, value in enumerate(coeffs):
+                first_seen.setdefault(value, (n, k))
+        expected = [{"value": v, "n": n, "k": k} for v, (n, k) in sorted(first_seen.items())]
+        argv = ["scan", "--m", str(m), "--nmax", str(nmax), "--json"]
+        if kmax is not None:
+            argv += ["--kmax", str(kmax)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out) == expected
 
     @pytest.mark.parametrize(
         "m, budget, n",
@@ -450,3 +500,27 @@ class TestFreshProcess:
             assert run.returncode == 0, run.stderr
             texts.append(path.read_text())
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("field", ["m", "kernel", None])
+    def test_huge_primes_are_factored_in_time(self, capsys, tmp_path, field):
+        # trial division of either number runs for hours: verify factors the
+        # document's m, then its kernel, and hunt factors m = (2**31 - 1)**2
+        prime = 9223372036854775783
+        if field is None:
+            argv = ["hunt", "--m", "4611686014132420609", "--value", "2", "--mode", "a"]
+            expected_code = 2
+        else:
+            path = tmp_path / "cert.json"
+            run_cli(capsys, "hunt", "--m", "6", "--value", "2", "--mode", "a", "--out", str(path))
+            data = json.loads(path.read_text())
+            path.write_text(json.dumps(dict(data, **{field: prime})))
+            argv = ["verify", str(path)]
+            expected_code = 1
+        run = subprocess.run(
+            [sys.executable, "-m", "cyclocert", *argv],
+            capture_output=True, text=True, env=fresh_process_env(), timeout=10,
+        )
+        assert run.returncode == expected_code, run.stderr
+        assert "Traceback" not in run.stderr
+        if field is not None:
+            assert json.loads(run.stdout)["pass"] is False
