@@ -39,7 +39,6 @@ from .errors import (
     DegreeBudgetExceededError,
     DocumentFormatError,
     MACHINE_INT_MAX,
-    NoPlanFoundError,
     SearchBoundExceededError,
 )
 from .hunter import (
@@ -69,7 +68,6 @@ __all__ = [
     "FactoredInteger",
     "InverseCoefficientTable",
     "MACHINE_INT_MAX",
-    "NoPlanFoundError",
     "PrimeCluster",
     "PrimeClusterSpec",
     "PsiPoly",

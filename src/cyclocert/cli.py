@@ -24,10 +24,11 @@ from .arith import (
     DEFAULT_SCAN_CEILING,
     FactoredInteger,
     PrimeCluster,
+    euler_phi,
     factor,
     radical,
 )
-from .cyclo import DEFAULT_DEGREE_BUDGET, a_coeff, c_coeff, phi_poly
+from .cyclo import DEFAULT_DEGREE_BUDGET, a_coeff, c_coeff, phi_poly, phi_truncated
 from .cyclo import _check_degree_budget, _check_phi_budget
 from .errors import CycloError, DocumentFormatError, MACHINE_INT_MAX
 from .hunter import (
@@ -340,6 +341,27 @@ def _height_bound(fac: FactoredInteger) -> int | None:
     return None
 
 
+def _phi_prefix(
+    n: int, rad: FactoredInteger, kmax: int, budget: int
+) -> list[int] | tuple[int, ...]:
+    """a(n, 0..kmax), empty for kmax < 0.
+
+    Phi_n(x) = Phi_rad(x**s), s = n/rad, so these are the first
+    floor(kmax/s) + 1 coefficients of Phi_rad, spread s apart.  They come
+    from the truncated product, O(#low * kmax/s), unless that reaches half
+    of Phi_rad's degree (or rad = 1), where the cached phi_poly(n) is read.
+    """
+    if kmax < 0:
+        return ()
+    s = n // rad.value()
+    reach = kmax // s
+    if rad.is_one or 2 * reach >= euler_phi(rad):
+        return phi_poly(n, degree_budget=budget).coeffs[: kmax + 1]
+    coeffs = [0] * (kmax + 1)
+    coeffs[::s] = phi_truncated(rad, reach + 1)
+    return coeffs
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     # n gets the budget checks of coeff a around the factor(n) that the skip
     # rules read.  phi_poly(n) builds Phi_n(x) = Phi_rad(n)(x**s), s = n /
@@ -350,6 +372,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     # - n is not squarefree, m | rad(n) and 0 has been seen: rad(n) = m*j'
     #   with j' < n/m was scanned, and Phi_n's first kmax + 1 coefficients
     #   are zeros and a(rad(n), i) for i <= kmax.
+    # Under --kmax only a(n, 0..kmax) are read (see _phi_prefix).
     budget = _env_degree_budget()
     first_seen: dict[int, tuple[int, int]] = {}
     for multiplier in range(1, args.nmax + 1):
@@ -360,12 +383,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
         bound = _height_bound(fac)
         if bound is not None and all(v in first_seen for v in range(-bound, bound + 1)):
             continue
-        rad = radical(fac).value()
-        if rad < n and rad % args.m == 0 and 0 in first_seen:
+        rad = radical(fac)
+        if rad.value() < n and rad.value() % args.m == 0 and 0 in first_seen:
             continue
-        coeffs = phi_poly(n, degree_budget=budget).coeffs
-        if args.kmax is not None:
-            coeffs = coeffs[: max(0, args.kmax + 1)]
+        if args.kmax is None:
+            coeffs = phi_poly(n, degree_budget=budget).coeffs
+        else:
+            coeffs = _phi_prefix(n, rad, args.kmax, budget)
         new = set(coeffs).difference(first_seen)
         if new:
             # built from the top down, so each value keeps its smallest k

@@ -122,29 +122,26 @@ def _mobius_unit_divisors(n: FactoredInteger, bound: int) -> list[tuple[int, int
 
 
 def _dense_product(
-    truncation: int, low: list[tuple[int, int]], high: list[tuple[int, int]]
-) -> list[int]:
-    """The product of (1 - x**d)**e over the (d, e) of low and high, modulo
-    x**truncation, as one list stepped in place.
+    truncation: int, start: int, low: list[tuple[int, int]], high: list[tuple[int, int]]
+) -> tuple[int, ...]:
+    """Coefficients start..truncation-1 of the product of (1 - x**d)**e over
+    the (d, e) of low and high, modulo x**truncation, stepped in one packed
+    series (see series).
 
     A high factor (2d >= truncation) is 1 - e * x**d modulo x**truncation
     and any product of two of them vanishes, so their product is 1 - sum of
-    e * x**d: each is seeded into the starting list as the term -e at index
-    d, at O(1).  The factors commute, so the low ones are then applied
-    densely to that list, all of them multiplications first: that keeps the
+    e * x**d: each is seeded into the starting series as the term -e at
+    index d, at O(1).  The factors commute, so the low ones are then applied
+    to that series, all of them multiplications first: that keeps the
     partial products near the size of the result instead of letting the
     running sums of the divisions grow first.  Each step is range checked,
     seeded terms included.
     """
-    coeffs = [0] * truncation
-    coeffs[0] = 1
-    for d, sign in high:
-        coeffs[d] = -sign
     # distinct high d give distinct indices, so every entry is 0 or +-1
-    dense = TruncatedSeries(coeffs, 1)
+    dense = TruncatedSeries.seeded(truncation, high)
     for d, sign in sorted(low, key=lambda step: (-step[1], step[0])):
         dense.apply_one_minus_power(d, sign)
-    return coeffs
+    return dense.suffix(start)
 
 
 def _low_kernel(n: FactoredInteger, low: list[tuple[int, int]]) -> FactoredInteger | None:
@@ -210,7 +207,7 @@ def _periodic_tail(
 
 
 def _truncated_product(
-    n: FactoredInteger, truncation: int, start: int, exponent: int
+    n: FactoredInteger, truncation: int, start: int, exponent: int, degree_budget: int
 ) -> tuple[int, ...]:
     """Coefficients start..truncation-1 of the product of (1 - x**d)**e_d,
     e_d = exponent * mu(n/d), over the divisors d of n below the truncation.
@@ -221,13 +218,16 @@ def _truncated_product(
       factors are exactly those of 1/Phi_K for K the largest low divisor
       (see _low_kernel), one period of 1/Phi_K is read from c_table's memo
       and the requested coefficients are read from one tail period (see
-      _periodic_tail).  This is every certificate of the hunter, in both
-      modes.  It costs O(#div(K) * K) on a memo miss plus O(#residues * K +
-      #high + (truncation - start)), and holds O(K + truncation - start),
-      independent of the truncation itself.
-    - Dense: otherwise, the seeded in-place product of _dense_product,
-      O(#low * truncation + #high) time and one list of length truncation
-      plus the returned tuple.
+      _periodic_tail).  This is how the verifier reads the hunter's
+      certificates, except where the kernel is itself a high divisor (see
+      verify_certificate).  It costs O(#div(K) * K) on a memo miss plus
+      O(#residues * K + #high + (truncation - start)), and holds
+      O(K + truncation - start), independent of the truncation itself.
+    - Dense: otherwise, the seeded product of _dense_product, O(#low) steps
+      of O(truncation) each plus O(#high), holding one packed series of
+      the truncation's coefficients plus the returned tuple.  A truncation
+      above degree_budget raises DegreeBudgetExceededError before anything
+      of that size is allocated.
     """
     if n.is_one:
         raise ValueError("the Mobius product form requires n > 1")
@@ -241,11 +241,20 @@ def _truncated_product(
         kernel_fac = _low_kernel(n, low)
         if kernel_fac is not None:
             return _periodic_tail(kernel_fac, high, truncation, start)
-    coeffs = _dense_product(truncation, low, high)
-    return tuple(islice(coeffs, start, None) if start else coeffs)
+    if truncation > degree_budget:
+        raise DegreeBudgetExceededError(
+            f"dense truncation {truncation} exceeds degree budget {degree_budget}"
+        )
+    return _dense_product(truncation, start, low, high)
 
 
-def phi_truncated(n: FactoredInteger, truncation: int, start: int = 0) -> tuple[int, ...]:
+def phi_truncated(
+    n: FactoredInteger,
+    truncation: int,
+    start: int = 0,
+    *,
+    degree_budget: int = DEFAULT_DEGREE_BUDGET,
+) -> tuple[int, ...]:
     """Phi_n mod x**truncation for factored n > 1, from coefficient `start` on.
 
     Applies (1 - x**d)**mu(n/d) for every divisor d below the truncation with
@@ -258,22 +267,29 @@ def phi_truncated(n: FactoredInteger, truncation: int, start: int = 0) -> tuple[
     O(#residues mod K * K + #high + (truncation - start)) time, and
     O(K + truncation - start) memory.  Otherwise the dense product
     costs O(#low * truncation + #high), never governed by n itself, and
-    holds one list of length truncation plus the returned tuple.  Both
-    routes raise ArithmeticOverflowError when a coefficient leaves the
-    64-bit range: on the dense route, any coefficient of the product after
-    any step (checked by a scan only where a carried magnitude bound does
-    not prove it); on the periodic route, any coefficient of the period of
-    1/Phi_K or any returned coefficient.
+    holds one packed series of the truncation's coefficients plus the
+    returned tuple; it raises DegreeBudgetExceededError, before it
+    allocates, when the truncation exceeds degree_budget.  Both routes
+    raise ArithmeticOverflowError when a coefficient leaves the 64-bit
+    range: on the dense route, any coefficient of the product after any
+    step (checked only where a carried magnitude bound does not prove it);
+    on the periodic route, any coefficient of the period of 1/Phi_K or any
+    returned coefficient.
     """
-    return _truncated_product(n, truncation, start, 1)
+    return _truncated_product(n, truncation, start, 1, degree_budget)
 
 
 def inverse_phi_truncated(
-    n: FactoredInteger, truncation: int, start: int = 0
+    n: FactoredInteger,
+    truncation: int,
+    start: int = 0,
+    *,
+    degree_budget: int = DEFAULT_DEGREE_BUDGET,
 ) -> tuple[int, ...]:
     """1/Phi_n mod x**truncation: the same divisor product, exponents negated,
-    returned as the same tuple of coefficients start..truncation-1."""
-    return _truncated_product(n, truncation, start, -1)
+    returned as the same tuple of coefficients start..truncation-1, under
+    the same budget."""
+    return _truncated_product(n, truncation, start, -1, degree_budget)
 
 
 def _half_product(fac: FactoredInteger, degree: int, exponent: int) -> tuple[int, ...]:
@@ -285,10 +301,11 @@ def _half_product(fac: FactoredInteger, degree: int, exponent: int) -> tuple[int
     Phi_n is palindromic and Psi_n anti-palindromic (see
     InverseCoefficientTable), so entry degree - j is entry j, negated for
     exponent -1.  Only entries 0..floor(degree/2) are expanded, by the
-    truncated product; the rest are mirrored as slices.
+    truncated product; the rest are mirrored as slices.  The callers have
+    budgeted the degree, so the truncation is admitted as it stands.
     """
     expand = phi_truncated if exponent == 1 else inverse_phi_truncated
-    lower = expand(fac, degree // 2 + 1)
+    lower = expand(fac, degree // 2 + 1, degree_budget=degree // 2 + 1)
     mirror = lower[(degree + 1) // 2 - 1 :: -1]
     return lower + (mirror if exponent == 1 else tuple(map(neg, mirror)))
 

@@ -29,9 +29,5 @@ class SearchBoundExceededError(CycloError):
     """
 
 
-class NoPlanFoundError(CycloError):
-    """No (t, delta) pair produces the requested target value."""
-
-
 class DocumentFormatError(CycloError, ValueError):
     """A certificate document is malformed or violates the schema."""

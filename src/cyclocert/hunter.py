@@ -51,7 +51,7 @@ from .cyclo import (
     inverse_phi_truncated,
     phi_truncated,
 )
-from .errors import ArithmeticOverflowError, DegreeBudgetExceededError, NoPlanFoundError
+from .errors import ArithmeticOverflowError, DegreeBudgetExceededError
 
 DEFAULT_RATIO = Fraction(15, 8)
 
@@ -75,6 +75,7 @@ REASON_TRUNCATION = "truncation"
 REASON_RATIO = "ratio"
 REASON_WINDOW_MISMATCH = "window-mismatch"
 REASON_OVERFLOW = "overflow"
+REASON_BUDGET = "budget"
 
 
 @dataclass(frozen=True)
@@ -157,8 +158,11 @@ def plan_target(m: int, v: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -
             continue
         if best is None or (t, delta) < best:
             best = (t, delta)
-    if best is None:
-        raise NoPlanFoundError(f"no (t, delta) reaches value {v} over kernel {kernel}")
+    # a plan always exists.  c(K, 0) = 1 and c(K, 1) = mu.  For K = 2 the
+    # offsets 0 and 1 give t = 1 + v and t = 1 - v.  For K >= 3, with
+    # deg = K - phi(K) >= 1, the anti-palindrome gives c(K, deg) = -1 and
+    # the zero window c(K, deg + 1) = 0 (phi(K) >= 2), so the offsets 0 and
+    # deg give t = 1 - mu*v and t = mu*v.  Either way one of the two is >= 1.
     t, delta = best
     predicted = period[(delta + 1) % kernel] - mu * t * period[delta]
     assert predicted == v
@@ -302,14 +306,21 @@ def verify_certificate(
     The product is expanded to truncation k + 1 and read at k alone, or with
     full_window to 2*p_1 and read on [min(k, p_t), 2*p_1).  The low divisors
     of N (2d below that truncation) and the high ones (the rest) are taken
-    from N and the truncation alone.  For a valid certificate the low ones
-    are exactly those of 1/Phi_kernel and every high one (a cluster prime)
-    lies at or below the first coefficient read, so the product takes its
-    periodic route: one period of 1/Phi_kernel, read from c_table's memo
-    (keyed on the kernel as factored off N's own primes), then one tail
-    period tiled over the read range, O(#div(kernel) * kernel + t + W) for
-    W coefficients read, independent of p_1 and so of v.  Any other N (a
-    tampered one) takes the dense route, O(#low * truncation + t).  An
+    from N and the truncation alone.  For a valid certificate whose kernel
+    is low, the low ones are exactly those of 1/Phi_kernel and every high
+    one (a cluster prime) lies at or below the first coefficient read, so
+    the product takes its periodic route: one period of 1/Phi_kernel, read
+    from c_table's memo (keyed on the kernel as factored off N's own
+    primes), then one tail period tiled over the read range,
+    O(#div(kernel) * kernel + t + W) for W coefficients read, independent
+    of p_1 and so of v.  A valid certificate whose first cluster prime lies
+    just above its kernel can make the kernel itself high (2 * kernel at or
+    above the truncation); it takes the dense route, as does any other N (a
+    tampered one), O(#low * truncation + t).  In the acceptance grid
+    (m <= 30, |v| <= 10) those are 14 documents in plain verify, m in
+    {1, 2, 4, 8, 16} with v = 0 and m = 30 with v in {0, 1}, both modes,
+    all with truncation at most 34.  A "budget" reason means the dense
+    route's truncation exceeded degree_budget, so nothing was expanded.  An
     "overflow" reason means that, on the periodic route, a coefficient of
     the period of 1/Phi_kernel or a coefficient read left the signed 64-bit
     range, and on the dense route a coefficient of the product (the seeded
@@ -429,9 +440,11 @@ def verify_certificate(
     if 0 <= start < truncation <= horizon:
         expand = phi_truncated if mode_a else inverse_phi_truncated
         try:
-            expansion = expand(certificate.N, truncation, start)
+            expansion = expand(certificate.N, truncation, start, degree_budget=degree_budget)
         except ArithmeticOverflowError:
             flag(REASON_OVERFLOW)
+        except DegreeBudgetExceededError:
+            flag(REASON_BUDGET)
     if expansion is not None and start <= k < truncation:
         computed = expansion[k - start]
     if computed != certificate.v:

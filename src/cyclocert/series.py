@@ -1,115 +1,238 @@
 """The working buffer of a truncated power-series product.
 
-A TruncatedSeries holds the integer coefficients of a power series modulo
-x**T as one list of length T (index i holds the coefficient of x**i) and is
-stepped in place.  Its one operation, apply_one_minus_power, multiplies or
-divides the list by a binomial 1 - x**d: O(T) element operations run inside
-slice and accumulate calls over chunks of at most _CHUNK coefficients, so a
-step allocates no second array of length T.  It checks its results against
-the signed 64-bit range and raises ArithmeticOverflowError when a
-coefficient leaves it, so the fixed-width policy fails loudly instead of
-growing silently.
+A TruncatedSeries holds the integer coefficients c_0..c_{T-1} of a power
+series modulo x**T packed into one integer by Kronecker substitution
+(Harvey, J. Symbolic Comput. 44, 2009):
 
-The check goes through a proven bound B >= max |c_i| that each step
-carries forward: a multiplication at most doubles it, a division
-multiplies it by the number of terms in a running sum, floor((T-1)/d) + 1.
-All T coefficients are scanned only when B leaves the 64-bit range, and B
-then drops to the exact maximum, so a step raises exactly when one of its
-coefficients leaves the range.  Truncated cyclotomic products call
-it only for divisors with 2d < T (see cyclo), so a product costs O(T) per
-such divisor.
+    P = sum of c_i * 2**(b*i), kept as a residue modulo 2**(b*T),
+
+for a limb width b of 16, 32 or 64 bits.  Setting x = 2**b is a ring map
+from Z[x]/(x**T) to Z/2**(b*T), so every step below is exact modulo
+2**(b*T) whatever the limbs hold in the middle of it.  The coefficients are
+read back exactly when every c_i lies in [-2**(b-1), 2**(b-1)): adding
+2**(b-1) to every limb of P then leaves the b-bit limbs c_i + 2**(b-1),
+free of carries.  Its one operation, apply_one_minus_power, multiplies or
+divides by a binomial 1 - x**d in a few big-integer shifts and adds that
+run in C:
+
+- multiplication is P - (P mod 2**(b*(T-d))) * 2**(b*d);
+- division is the product of 1 + x**s over s = d, 2d, 4d, ... below T,
+  ceil(log2(T/d)) doublings P += (P mod 2**(b*(T-s))) * 2**(b*s).
+
+A proven bound B >= max |c_i| is carried from step to step: a
+multiplication at most doubles it, a division multiplies it by the number
+of terms of a running sum, floor((T-1)/d) + 1.  Before a step whose output
+bound could reach 2**(b-1), B is tightened without decoding, by a C-speed
+test of whether every c_i lies in [-2**(k-1), 2**(k-1)) (_fits), and the
+limbs move, by copying bytes, to the narrowest width that the tightened
+bound allows.  Where that bound leaves the signed 64-bit range the step
+runs on 128-bit limbs and its output is then checked:
+ArithmeticOverflowError is raised exactly when a coefficient leaves the
+range, so the fixed-width policy fails loudly instead of growing silently,
+and otherwise the limbs narrow back to 64 bits and B drops to the exact
+maximum.  Truncated cyclotomic products call it only for divisors with
+2d < T (see cyclo).
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import add, sub
+import sys
+from array import array
 
 from .errors import ArithmeticOverflowError, MACHINE_INT_MAX
 
-_MIN = -MACHINE_INT_MAX
+_WIDTHS = (16, 32, 64, 128)
+# array typecodes of the widths a series is read at; 128 only ever holds
+# the output of one step, until it is checked and narrowed
+_CODES = {16: "h", 32: "i", 64: "q"}
+_FLIP_TOP = bytes(byte ^ 0x80 for byte in range(256))
 
-# slice length of the in-place kernels below; it bounds their temporaries
-_CHUNK = 4096
+
+def _limbs(value: int, width: int, count: int) -> int:
+    """The integer whose `count` limbs of `width` bits each hold value."""
+    return int.from_bytes(value.to_bytes(width // 8, "little") * count, "little")
 
 
 class TruncatedSeries:
-    """Integer coefficients of a power series modulo x**T, T = len(coeffs),
-    updated in place.
+    """Integer coefficients of a power series modulo x**T, packed into one
+    integer and updated in place.
 
-    bound is at least the largest |coefficient|; it lets
-    apply_one_minus_power skip its range scan.
+    bound is at least the largest |coefficient|; it chooses the limb width
+    and lets apply_one_minus_power skip its range checks.  coeffs decodes
+    the coefficients into a new list.
     """
 
-    __slots__ = ("coeffs", "bound")
+    __slots__ = ("packed", "width", "truncation", "bound")
 
     def __init__(self, coeffs: list[int], bound: int) -> None:
-        self.coeffs = coeffs
+        if bound > MACHINE_INT_MAX:
+            raise ArithmeticOverflowError("coefficient outside the 64-bit range")
+        width = next(w for w in _WIDTHS if not bound >> (w - 1))
+        digits = array(_CODES[width], coeffs)
+        if sys.byteorder == "big":
+            digits.byteswap()
+        self._set_digits(digits, width, len(coeffs), bound)
+
+    @classmethod
+    def seeded(cls, truncation: int, terms: list[tuple[int, int]]) -> TruncatedSeries:
+        """1 - sum of e * x**d modulo x**truncation over the (d, e) of terms,
+        for distinct d in [1, truncation) and e = +-1, written straight into
+        16-bit limbs."""
+        digits = bytearray(2 * truncation)
+        digits[0] = 1
+        for d, sign in terms:
+            digits[2 * d : 2 * d + 2] = b"\xff\xff" if sign == 1 else b"\x01\x00"
+        series = cls.__new__(cls)
+        series._set_digits(digits, 16, truncation, 1)
+        return series
+
+    def _set_digits(self, digits, width: int, truncation: int, bound: int) -> None:
+        # digits holds each c_i modulo 2**width, little-endian; flipping each
+        # limb's top bit gives c_i + 2**(width-1), free of carries
+        offset = _limbs(1 << (width - 1), width, truncation)
+        packed = (int.from_bytes(digits, "little") ^ offset) - offset
+        self.packed = packed - ((packed >> (width * truncation)) << (width * truncation))
+        self.width = width
+        self.truncation = truncation
         self.bound = bound
+
+    @property
+    def coeffs(self) -> list[int]:
+        return self._decode(0).tolist()
+
+    def suffix(self, start: int) -> tuple[int, ...]:
+        """Coefficients start..T-1, decoded once."""
+        return tuple(self._decode(start))
 
     def apply_one_minus_power(self, d: int, sign: int) -> None:
         """Multiply (sign=+1) or divide (sign=-1) the series by 1 - x**d,
-        in place and in O(T).
+        in place.
 
         Multiplication is c'_i = c_i - c_{i-d}; division is the running-sum
         recurrence c'_i = c_i + c'_{i-d}.  A d at or beyond the truncation is
-        a no-op since 1 - x**d = 1 mod x**T.  The result is range checked
-        after the step, by a scan of every coefficient only where the
-        carried bound does not already prove it (see the module docstring);
-        when that check raises, coeffs holds the out-of-range result.
+        a no-op since 1 - x**d = 1 mod x**T.  The limbs widen first where the
+        carried bound requires it, and the result is range checked where
+        that bound does not already prove it (see the module docstring);
+        once the check raises, the series holds no usable value.
         """
         if d < 1:
             raise ValueError(f"exponent d must be at least 1, got {d}")
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
-        c = self.coeffs
-        if d >= len(c):
+        t = self.truncation
+        if d >= t:
             return
-        if sign == 1:
-            _multiply_in_place(c, d)
-            growth = 2
-        else:
-            if d * d < _CHUNK:
-                _divide_small_in_place(c, d)
-            else:
-                _divide_in_place(c, d)
-            growth = (len(c) - 1) // d + 1
+        growth = 2 if sign == 1 else (t - 1) // d + 1
         bound = self.bound * growth
-        if bound > MACHINE_INT_MAX:
-            top, bottom = max(c), min(c)
-            if top > MACHINE_INT_MAX or bottom < _MIN:
-                raise ArithmeticOverflowError("coefficient outside the 64-bit range")
-            bound = max(top, -bottom)
+        if bound >> (self.width - 1):
+            bound = self._make_room(growth)
+        b = self.width
+        p, self.packed = self.packed, 0  # so that the step holds one copy of P
+        shifts = [d]
+        if sign == -1:
+            while 2 * shifts[-1] < t:
+                shifts.append(2 * shifts[-1])
+        for s in shifts:
+            keep = b * (t - s)
+            # limbs 0..T-s-1 of P, shifted up by s limbs
+            if sign == 1:
+                p -= (p - ((p >> keep) << keep)) << (b * s)
+            else:
+                p += (p - ((p >> keep) << keep)) << (b * s)
+        self.packed = p - ((p >> (b * t)) << (b * t))
+        if b == 128:
+            bound = self._narrow_checked()
         self.bound = bound
 
+    def _make_room(self, growth: int) -> int:
+        """The bound on the output of a step of this growth, with the input
+        bound tightened and the limbs moved to the narrowest width the
+        tightened bound allows.
 
-def _multiply_in_place(c: list[int], d: int) -> None:
-    # c[i] -= c[i-d], top chunk first, so every c[i-d] read is still unchanged
-    hi = len(c)
-    while hi > d:
-        lo = max(d, hi - _CHUNK)
-        c[lo:hi] = map(sub, c[lo:hi], c[lo - d : hi - d])
-        hi = lo
+        That is the first width w for which the input passes the fit test
+        at k = w - bits(growth), or fits k bits anyway: then
+        2**(k-1) * growth < 2**(w-1).  At 128 bits k exceeds 64 for any
+        feasible T, so the loop ends there.
+        """
+        for width in _WIDTHS:
+            k = width - growth.bit_length()
+            if k >= self.width or k >= 1 and self._fits(1 << (k - 1), k):
+                break
+        if width != self.width:
+            self._repack(width)
+        return min(self.bound, 1 << (k - 1)) * growth
 
+    def _fits(self, offset: int, k: int) -> bool:
+        """Whether every c_i + offset lies in [0, 2**k), for k <= width and
+        0 <= offset <= 2**(k-1): the limb bits from k up are then all zero
+        in the offset form (see _offset_bytes), and only then."""
+        w, t = self.width // 8, self.truncation
+        data = self._offset_bytes(offset)
+        return not any(
+            data[j : w * t : w].translate(None, bytes(range(1 << max(k - 8 * j, 0))))
+            for j in range(k // 8, w)
+        )
 
-def _divide_in_place(c: list[int], d: int) -> None:
-    # c[i] += c[i-d], bottom chunk first; a chunk spans at most d indices, so
-    # every c[i-d] it reads is already final
-    t = len(c)
-    width = min(d, _CHUNK)
-    for lo in range(d, t, width):
-        hi = min(t, lo + width)
-        c[lo:hi] = map(add, c[lo:hi], c[lo - d : hi - d])
+    def _offset_bytes(self, offset: int, start: int = 0) -> bytes:
+        """Limbs start..T-1 of P, with offset added to each, little-endian,
+        and one byte more for the carry out of the top limb.
 
+        Where every c_i + offset lies in [0, 2**b) those limbs are exactly
+        the c_i + offset, free of carries.  Limbs start..T-1 of P are
+        c_start.. less the borrow of the lower limbs' signed sum, which is
+        negative exactly when bit b*start - 1 of P is set.
+        """
+        b, t = self.width, self.truncation
+        p = self.packed
+        if start:
+            p = (p >> (b * start)) + ((p >> (b * start - 1)) & 1)
+        count = t - start
+        return (p + _limbs(offset, b, count)).to_bytes(b // 8 * count + 1, "little")
 
-def _divide_small_in_place(c: list[int], d: int) -> None:
-    # for small d those chunks would be short: run a prefix sum along each
-    # residue class instead, one block of about _CHUNK indices at a time; past
-    # the first block each class slice starts at its last final element,
-    # which accumulate passes through unchanged
-    t = len(c)
-    block = _CHUNK // d * d
-    for lo in range(0, t, block):
-        hi = min(t, lo + block)
-        for start in range(lo - d, lo) if lo else range(d):
-            c[start:hi:d] = accumulate(c[start:hi:d])
+    def _repack(self, width: int) -> None:
+        """Move the coefficients onto limbs of `width` bits.
+
+        With o = 2**(min(b, width) - 1), every c_i + o fits in the narrower
+        of the two limbs; those limbs are copied byte by byte, and o is
+        taken back off at the new width.
+        """
+        old, new, t = self.width // 8, width // 8, self.truncation
+        offset = 1 << (8 * min(old, new) - 1)
+        data = self._offset_bytes(offset)
+        self.packed = 0
+        spread = bytearray(new * t)
+        for j in range(min(old, new)):
+            spread[j::new] = data[j : old * t : old]
+        del data
+        packed = int.from_bytes(spread, "little")
+        del spread
+        packed -= _limbs(offset, width, t)
+        self.packed = packed - ((packed >> (width * t)) << (width * t))
+        self.width = width
+
+    def _narrow_checked(self) -> int:
+        """Check a 128-bit result against the signed 64-bit range, narrow it
+        to 64-bit limbs and return its exact maximum |c_i|."""
+        if not self._fits(1 << 63, 64):
+            raise ArithmeticOverflowError("coefficient outside the 64-bit range")
+        self._repack(64)
+        values = self._decode(0)
+        top, bottom = max(values), min(values)
+        if bottom < -MACHINE_INT_MAX:
+            raise ArithmeticOverflowError("coefficient outside the 64-bit range")
+        return max(top, -bottom)
+
+    def _decode(self, start: int) -> array:
+        """Coefficients start..T-1 as a signed array: the limbs c_i + 2**(b-1)
+        of the offset form, each with its top bit flipped."""
+        b = self.width
+        w = b // 8
+        data = self._offset_bytes(1 << (b - 1), start)
+        out = array(_CODES[b])
+        out.frombytes(memoryview(data)[:-1])
+        top = w - 1
+        if sys.byteorder == "big":
+            out.byteswap()
+            top = 0
+        memoryview(out).cast("B")[top::w] = data[w - 1 : -1 : w].translate(_FLIP_TOP)
+        return out

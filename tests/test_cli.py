@@ -397,6 +397,24 @@ class TestScanCommand:
         assert expanded == expected
         assert len(expanded) == 41
 
+    def test_kmax_zero_expands_no_full_polynomial(self, capsys, monkeypatch):
+        # a(n, 0) = +-1, so no skip rule fires under --kmax 0; still, no n
+        # may cost a full Phi_rad for its first coefficient
+        expanded = []
+        half = cyclo._half_product
+
+        def counted(fac, degree, exponent):
+            expanded.append(fac.value())
+            return half(fac, degree, exponent)
+
+        monkeypatch.setattr(cyclo, "_half_product", counted)
+        cyclo._phi_poly_cached.cache_clear()
+        argv = ["scan", "--m", "1", "--nmax", "4000", "--kmax", "0", "--json"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out) == [{"value": -1, "n": 1, "k": 0}, {"value": 1, "n": 2, "k": 0}]
+        assert expanded == []
+
     def test_height_bound_against_long_division(self):
         # no n <= 700 has four odd primes: the least such n is 1155
         for n in range(1, 701):
@@ -524,3 +542,33 @@ class TestFreshProcess:
         assert "Traceback" not in run.stderr
         if field is not None:
             assert json.loads(run.stdout)["pass"] is False
+
+    def test_huge_dense_truncation_reports_budget(self, capsys, tmp_path):
+        # N keeps the old cluster primes, low divisors outside the kernel, so
+        # the product takes the dense route at truncation k + 1 > 10**12: the
+        # budget must stop it before anything of that size is allocated
+        path = tmp_path / "cert.json"
+        run_cli(capsys, "hunt", "--m", "6", "--value", "2", "--mode", "a", "--out", str(path))
+        prime = 1000000000039  # the least prime = 1 (mod 6) above 10**12
+        data = json.loads(path.read_text())
+        data.update(primes=[prime], t=1, k=prime, cluster_n=prime - 1)
+        path.write_text(json.dumps(data))
+        run = subprocess.run(
+            [sys.executable, "-c", VERIFY_UNDER_ADDRESS_LIMIT, str(path)],
+            capture_output=True, text=True, env=fresh_process_env(), timeout=60,
+        )
+        assert run.returncode == 1, run.stderr
+        assert "Traceback" not in run.stderr
+        report = json.loads(run.stdout)
+        assert report["pass"] is False
+        assert "budget" in report["reasons"]
+        assert report["computed_value"] is None
+
+
+# `verify` under the address-space limit of `ulimit -v 2000000`
+VERIFY_UNDER_ADDRESS_LIMIT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2000000 * 1024, 2000000 * 1024))
+from cyclocert.cli import main
+sys.exit(main(["verify", sys.argv[1]]))
+"""

@@ -454,14 +454,15 @@ class TestOneList:
             (inverse_phi_truncated, 30),
             (phi_truncated, 2310),
             # the prime 32771 lies in (T/4, T/2), so the low factors are not
-            # those of 1/Phi_30 and the dense list is what is measured
+            # those of 1/Phi_30 and the dense series is what is measured
             (inverse_phi_truncated, 30 * 32771),
         ],
     )
     def test_peak_is_one_list_plus_the_result(self, expand, n, start):
-        # the coefficients are cached small ints, so the arrays are all that
-        # is traced: one working list of T pointers and the returned tuple,
-        # where a new array per step would hold three at once
+        # the coefficients are cached small ints, so the buffers are all that
+        # is traced: the packed series, 2 or 4 bytes a coefficient, with the
+        # few transient copies of a step, and the returned tuple of T
+        # pointers, where a new list per step would hold three lists at once
         truncation = 2**17
         result, peak = self.traced_peak(expand, factor(n), truncation, start)
         assert peak <= 2.5 * 8 * truncation
@@ -471,9 +472,9 @@ class TestOneList:
         "expand, n", [(phi_truncated, 2310), (inverse_phi_truncated, 30 * 32771)]
     )
     def test_suffix_is_copied_once(self, expand, n):
-        # the dense list of T pointers plus the returned tuple of T/2, which
-        # grows by a quarter as it is filled: about 1.57, where slicing the
-        # list first holds a second copy of the suffix, 2.0
+        # the packed series plus the returned tuple of T/2 pointers, decoded
+        # from the suffix alone, where decoding all T coefficients first
+        # would hold a second tuple of the suffix
         truncation = 2**17
         result, peak = self.traced_peak(expand, factor(n), truncation, truncation // 2)
         assert peak <= 1.75 * 8 * truncation

@@ -57,6 +57,28 @@ class TestPlanTarget:
         with pytest.raises(ValueError):
             plan_target(1, 3)
 
+    def test_a_plan_always_exists(self):
+        # the argument in plan_target: c(K, 0) = 1, c(K, 1) = mu, and for
+        # K >= 3 c(K, deg) = -1 and c(K, deg + 1) = 0, deg = K - phi(K), so
+        # the offsets 0 and deg give t = 1 - mu*v and t = mu*v; K = 2 gives
+        # t = 1 + v and t = 1 - v
+        for kernel in range(2, 2000):
+            fac = factor(kernel)
+            if any(e > 1 for _, e in fac.factors):
+                continue
+            period = c_table(kernel).period
+            mu = -1 if len(fac.factors) % 2 else 1
+            deg = kernel - euler_phi(fac)
+            assert (period[0], period[1]) == (1, mu), kernel
+            if kernel > 2:
+                assert (period[deg], period[deg + 1]) == (-1, 0), kernel
+            for v in (-7, -1, 0, 1, 2, 11):
+                plan = plan_target(kernel, v)
+                if kernel == 2:
+                    assert plan.t <= max(1 + v, 1 - v)
+                else:
+                    assert plan.t <= max(1 - mu * v, mu * v), (kernel, v)
+
     def test_plan_equation_and_offset_support(self):
         for m in range(2, 31):
             kernel = radical(factor(m)).value()
@@ -203,6 +225,32 @@ class TestPredictWindow:
 
 
 class TestVerifyCertificate:
+    def test_only_small_grid_documents_take_the_dense_route(self, monkeypatch):
+        # a cluster prime just above the kernel makes the kernel itself a
+        # high divisor, so the verifier's product takes the dense route
+        truncations = []
+        dense = cyclo._dense_product
+
+        def recorded(truncation, start, low, high):
+            truncations.append(truncation)
+            return dense(truncation, start, low, high)
+
+        monkeypatch.setattr(cyclo, "_dense_product", recorded)
+        found = {}
+        for m in range(1, 31):
+            for v in range(-10, 11):
+                for mode in ("a", "c"):
+                    truncations.clear()
+                    assert verify_certificate(build_certificate(m, v, mode)).passed
+                    if truncations:
+                        found[m, v, mode] = max(truncations)
+        assert sorted(found) == [
+            (m, v, mode)
+            for m, v in ((1, 0), (2, 0), (4, 0), (8, 0), (16, 0), (30, 0), (30, 1))
+            for mode in ("a", "c")
+        ]
+        assert max(found.values()) <= 34 < cyclo.DEFAULT_DEGREE_BUDGET
+
     def test_grid_sample_full_window(self):
         for m in (1, 2, 3, 4, 6, 15, 18, 25, 30):
             for v in (-3, 0, 1, 5):

@@ -10,6 +10,21 @@ from oracles import mul_series, one_minus_power_loop
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=64)
 
+MAX = 2**63 - 1
+# coefficients on both sides of each limb edge, 2**15, 2**31 and 2**63
+EDGES = sorted(
+    {sign * (2**e + o) for e in (14, 15, 30, 31, 62) for o in (-1, 0, 1) for sign in (1, -1)}
+    | {MAX, -MAX}
+)
+wide_coeffs = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.sampled_from(EDGES),
+    st.integers(min_value=-MAX, max_value=MAX),
+)
+steps = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=90), st.sampled_from((1, -1))), max_size=12
+)
+
 
 def series(*coeffs: int) -> TruncatedSeries:
     return TruncatedSeries(list(coeffs), max(map(abs, coeffs)))
@@ -23,12 +38,13 @@ def stepped(a: TruncatedSeries, *steps: tuple[int, int]) -> list[int]:
 
 class TestApplyOneMinusPower:
     def test_steps_in_place(self):
+        # the series is one packed integer: a step returns nothing and
+        # coeffs decodes the stepped values
         a = series(1, 1, 1)
-        coeffs = a.coeffs
         assert a.apply_one_minus_power(1, -1) is None
-        assert a.coeffs is coeffs
+        assert a.coeffs == [1, 2, 3]
         assert a.apply_one_minus_power(5, 1) is None
-        assert a.coeffs is coeffs
+        assert a.coeffs == [1, 2, 3]
 
     def test_divide_by_one_minus_x(self):
         assert stepped(series(1, 1, 1), (1, -1)) == [1, 2, 3]
@@ -112,3 +128,52 @@ class TestApplyOneMinusPower:
         binomial = [1] + [0] * (d - 1) + [-1]
         expected = mul_series(coeffs, binomial, len(coeffs))
         assert stepped(series(*coeffs), (d, 1)) == expected
+
+
+class TestPackedSeries:
+    @given(st.lists(wide_coeffs, min_size=1, max_size=80), steps)
+    def test_steps_match_the_loop(self, coeffs, chain):
+        # every step agrees with the loop, through widenings and narrowings,
+        # until the first step whose output leaves the 64-bit range raises
+        got = TruncatedSeries(list(coeffs), max(map(abs, coeffs)))
+        exact = list(coeffs)
+        for d, sign in chain:
+            exact = one_minus_power_loop(exact, d, sign)
+            if max(map(abs, exact)) > MAX:
+                with pytest.raises(ArithmeticOverflowError):
+                    got.apply_one_minus_power(d, sign)
+                return
+            got.apply_one_minus_power(d, sign)
+            assert got.coeffs == exact
+            assert max(map(abs, exact)) <= got.bound < 2 ** (got.width - 1)
+
+    @pytest.mark.parametrize("edge, width", [(15, 32), (31, 64)])
+    def test_widens_across_a_limb_edge(self, edge, width):
+        # c_1 - c_0 = -2**edge: the bound, 2**edge, leaves the limbs
+        top = 2 ** (edge - 1)
+        a = series(top, -top, 0, 0)
+        assert a.width == edge + 1
+        a.apply_one_minus_power(1, 1)
+        assert a.coeffs == [top, -2 * top, top, 0]
+        assert a.width == width
+
+    def test_minus_two_to_the_63_is_out_of_range(self):
+        # -2**63 fits a 64-bit limb but not the symmetric 64-bit range
+        top = 2**62
+        with pytest.raises(ArithmeticOverflowError):
+            series(top, -top, 0).apply_one_minus_power(1, 1)
+        a = series(MAX, 0, -MAX)
+        a.apply_one_minus_power(2, -1)
+        assert (a.coeffs, a.bound, a.width) == ([MAX, 0, 0], MAX, 64)
+
+    def test_a_loose_bound_is_tightened_and_the_limbs_narrow(self):
+        a = TruncatedSeries([1, 0, 0, 0], 2**62)
+        assert a.width == 64
+        a.apply_one_minus_power(1, 1)
+        assert (a.coeffs, a.width) == ([1, -1, 0, 0], 16)
+        assert a.bound < 2**15
+
+    def test_seeded_holds_the_high_terms(self):
+        a = TruncatedSeries.seeded(6, [(3, 1), (5, -1)])
+        assert (a.coeffs, a.bound, a.width) == ([1, 0, 0, -1, 0, 1], 1, 16)
+        assert a.suffix(3) == (-1, 0, 1)
