@@ -24,14 +24,12 @@ from .cyclo import (
     DEFAULT_DEGREE_BUDGET,
     CyclotomicPoly,
     InverseCoefficientTable,
-    PsiPoly,
     a_coeff,
     c_coeff,
     c_table,
     inverse_phi_truncated,
     phi_poly,
     phi_truncated,
-    psi_poly,
 )
 from .errors import (
     ArithmeticOverflowError,
@@ -70,7 +68,6 @@ __all__ = [
     "MACHINE_INT_MAX",
     "PrimeCluster",
     "PrimeClusterSpec",
-    "PsiPoly",
     "SearchBoundExceededError",
     "TargetPlan",
     "VerificationReport",
@@ -90,7 +87,6 @@ __all__ = [
     "phi_truncated",
     "plan_target",
     "predict_window",
-    "psi_poly",
     "radical",
     "verify_certificate",
 ]

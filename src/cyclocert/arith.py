@@ -14,7 +14,7 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import ArithmeticOverflowError, MACHINE_INT_MAX, SearchBoundExceededError
 
@@ -185,26 +185,27 @@ def radical(n: FactoredInteger) -> FactoredInteger:
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = frozenset(_MR_BASES)
+_SMALL_PRODUCT = prod(_MR_BASES)  # 7,420,738,134,810
 
 
 def is_prime(u: int) -> bool:
     """Deterministic primality for 0 <= u < 2**64.
 
-    Trial division by the 12 primes 2, 3, ..., 37, then Miller-Rabin with
-    the fewest of them that is proven exact for u: the first 2 below
+    u <= 37 is answered by membership among the 12 primes 2, 3, ..., 37,
+    and a larger u sharing a factor with their product (one gcd) is
+    composite.  The rest goes to Miller-Rabin with the fewest of those
+    primes as bases that is proven exact for u: the first 2 below
     psi_2 = 1,373,653, the first 3 below psi_3 = 25,326,001, the first 4
     below psi_4 = 3,215,031,751, the first 7 below psi_7 =
     341,550,071,728,321, and all 12 otherwise, which is exact below
     3.3 * 10**24.  The psi_k are Jaeschke's (Math. Comp. 61, 1993); no
     probabilistic answers.
     """
-    if u < 2:
+    if u <= 37:
+        return u in _SMALL_PRIMES
+    if gcd(u, _SMALL_PRODUCT) != 1:
         return False
-    for p in _MR_BASES:
-        if u == p:
-            return True
-        if u % p == 0:
-            return False
     if u < 1_373_653:  # psi_2
         bases = _MR_BASES[:2]
     elif u < 25_326_001:  # psi_3

@@ -19,6 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .arith import (
     DEFAULT_SCAN_CEILING,
@@ -74,10 +75,6 @@ class CertificateDocument:
     verification: VerificationReport | None = None
 
 
-def _factors_to_json(n: FactoredInteger) -> list[list[int]]:
-    return [[p, e] for p, e in n.factors]
-
-
 def _report_to_json(report: VerificationReport) -> dict:
     return {
         "pass": report.passed,
@@ -87,33 +84,88 @@ def _report_to_json(report: VerificationReport) -> dict:
     }
 
 
+# serialize_document's layout is exactly json.dumps(data, indent=2) + "\n" of
+# the fields in _DOCUMENT_KEYS order, then "verification" when present; the
+# arrays are joined at C speed instead of walked by the indenting encoder
+_DOCUMENT_TEMPLATE = """{
+  "schema_version": %s,
+  "mode": %s,
+  "m": %d,
+  "v": %d,
+  "kernel": %d,
+  "mu_kernel": %d,
+  "t": %d,
+  "delta": %d,
+  "cluster_n": %d,
+  "primes": %s,
+  "q": %s,
+  "N_factors": %s,
+  "k": %d,
+  "stretch": %d,
+  "N_lifted_factors": %s,
+  "k_lifted": %d,
+  "truncation": %d,
+  "ratio_num": %d,
+  "ratio_den": %d%s
+}
+"""
+_REPORT_TEMPLATE = """,
+  "verification": {
+    "pass": %s,
+    "computed_value": %s,
+    "window_checked": %s,
+    "reasons": %s
+  }"""
+_PAIR_TEMPLATE = "[\n      %d,\n      %d\n    ]"
+
+
+def _array(items: list[str], indent: str) -> str:
+    """Encoded items as json.dumps(..., indent=2) lays out an array whose
+    closing bracket sits at `indent`."""
+    if not items:
+        return "[]"
+    inner = "\n  " + indent
+    return "[%s%s\n%s]" % (inner, ("," + inner).join(items), indent)
+
+
+def _factors_array(n: FactoredInteger) -> str:
+    return _array([_PAIR_TEMPLATE % pair for pair in n.factors], "  ")
+
+
 def serialize_document(document: CertificateDocument) -> str:
     cert = document.certificate
     plan = cert.plan
-    data: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "mode": cert.mode,
-        "m": cert.m_original,
-        "v": cert.v,
-        "kernel": plan.kernel,
-        "mu_kernel": plan.mu_kernel,
-        "t": plan.t,
-        "delta": plan.delta,
-        "cluster_n": cert.cluster.n,
-        "primes": list(cert.cluster.primes),
-        "q": cert.q,
-        "N_factors": _factors_to_json(cert.N),
-        "k": cert.k_kernel,
-        "stretch": cert.stretch,
-        "N_lifted_factors": _factors_to_json(cert.N_lifted),
-        "k_lifted": cert.k_lifted,
-        "truncation": cert.truncation,
-        "ratio_num": cert.ratio_num,
-        "ratio_den": cert.ratio_den,
-    }
-    if document.verification is not None:
-        data["verification"] = _report_to_json(document.verification)
-    return json.dumps(data, indent=2) + "\n"
+    report = document.verification
+    verification = ""
+    if report is not None:
+        verification = _REPORT_TEMPLATE % (
+            json.dumps(report.passed),
+            json.dumps(report.computed_value),
+            json.dumps(report.window_checked),
+            _array(list(map(json.dumps, report.reasons)), "    "),
+        )
+    return _DOCUMENT_TEMPLATE % (
+        json.dumps(SCHEMA_VERSION),
+        json.dumps(cert.mode),
+        cert.m_original,
+        cert.v,
+        plan.kernel,
+        plan.mu_kernel,
+        plan.t,
+        plan.delta,
+        cert.cluster.n,
+        _array(list(map(str, cert.cluster.primes)), "  "),
+        json.dumps(cert.q),
+        _factors_array(cert.N),
+        cert.k_kernel,
+        cert.stretch,
+        _factors_array(cert.N_lifted),
+        cert.k_lifted,
+        cert.truncation,
+        cert.ratio_num,
+        cert.ratio_den,
+        verification,
+    )
 
 
 def _require_int(
@@ -129,28 +181,21 @@ def _require_int(
     return value
 
 
-def _int_within(value, lo: int) -> bool:
-    """An int, not a bool, within [lo, MACHINE_INT_MAX]."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        return False
-    return lo <= value <= MACHINE_INT_MAX
+def _ints_within(values: list, lo: int) -> bool:
+    """A non-empty list of ints, no bools, all within [lo, MACHINE_INT_MAX]."""
+    return set(map(type, values)) == {int} and lo <= min(values) and max(values) <= MACHINE_INT_MAX
 
 
 def _parse_factors(raw, key: str) -> FactoredInteger:
     if not isinstance(raw, list) or not raw:
         raise DocumentFormatError(f"field {key!r} must be a non-empty list of [prime, exponent]")
-    pairs = []
-    for item in raw:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not _int_within(item[0], 2)
-            or not _int_within(item[1], 1)
-        ):
-            raise DocumentFormatError(f"field {key!r} entries must be [prime, exponent] pairs")
-        pairs.append((item[0], item[1]))
+    pairs = set(map(type, raw)) == {list} and set(map(len, raw)) == {2}
+    flat = list(chain.from_iterable(raw)) if pairs else []
+    primes, exponents = flat[::2], flat[1::2]
+    if not (_ints_within(primes, 2) and _ints_within(exponents, 1)):
+        raise DocumentFormatError(f"field {key!r} entries must be [prime, exponent] pairs")
     try:
-        return FactoredInteger(tuple(pairs))
+        return FactoredInteger(tuple(zip(primes, exponents)))
     except ValueError as exc:
         raise DocumentFormatError(f"field {key!r}: {exc}") from exc
 
@@ -159,7 +204,8 @@ def parse_document(text: str) -> CertificateDocument:
     """Parse a certificate document, rejecting unknown or missing fields."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal past the int-digit limit
         raise DocumentFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         # a valid document nests three levels deep
@@ -188,14 +234,10 @@ def parse_document(text: str) -> CertificateDocument:
     delta = _require_int(data, "delta", 0)
     cluster_n = _require_int(data, "cluster_n", 1)
     raw_primes = data["primes"]
-    if (
-        not isinstance(raw_primes, list)
-        or not raw_primes
-        or not all(_int_within(p, 2) for p in raw_primes)
-    ):
+    if not isinstance(raw_primes, list) or not _ints_within(raw_primes, 2):
         raise DocumentFormatError("field 'primes' must be a non-empty list of integers >= 2")
     q = data["q"]
-    if q is not None and not _int_within(q, 2):
+    if q is not None and not _ints_within([q], 2):
         raise DocumentFormatError("field 'q' must be null or an integer >= 2")
     n_factored = _parse_factors(data["N_factors"], "N_factors")
     k = _require_int(data, "k", 0)

@@ -18,9 +18,11 @@ self-reciprocal, which halves the work of computing it.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import cycle, islice, repeat
+from math import isqrt
 from operator import mul, neg, sub
 
 from .arith import FactoredInteger, euler_phi, factor, radical
@@ -40,14 +42,6 @@ class CyclotomicPoly:
     def __post_init__(self) -> None:
         if not self.coeffs or self.coeffs[-1] != 1:
             raise ValueError("cyclotomic polynomial must be monic")
-
-
-@dataclass(frozen=True)
-class PsiPoly:
-    """The cofactor Psi_n = (x**n - 1) / Phi_n, of degree n - phi(n)."""
-
-    n: int
-    coeffs: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -94,30 +88,38 @@ def _mobius_unit_divisors(n: FactoredInteger, bound: int) -> list[tuple[int, int
     At each prime p**e of n the divisor must use exponent e or e-1, otherwise
     n/d is not squarefree.  So d = base * prod(S), where base is the product
     of every p**(e-1) and S is a set of primes of n, and mu(n/d) is
-    (-1)**(omega(n) - |S|).  The sets are enumerated with an explicit stack
-    over the ascending primes, pruned against the bound, so neither n nor the
-    recursion depth grows with the number of primes.
+    (-1)**(omega(n) - |S|).  The sets are grown one prime at a time over the
+    ascending primes, pruned against the bound, with no recursion and
+    without expanding n.  A set can take a prime q above its largest p only
+    if base * p * q <= bound, so p is at most isqrt(bound // base): only
+    sets ending there or below grow further, and each set's extensions are
+    one slice of the primes, multiplied out at C speed.
     """
     if bound < 1:
         return []
+    primes, exponents = zip(*n.factors) if n.factors else ((), ())
     base = 1
-    for p, e in n.factors:
-        for _ in range(e - 1):
-            if base > bound // p:
-                return []
-            base *= p
-    primes = n.primes()
+    if max(exponents, default=1) > 1:
+        for p, e in n.factors:
+            for _ in range(e - 1):
+                if base > bound // p:
+                    return []
+                base *= p
     omega = len(primes)
-    out: list[tuple[int, int]] = []
-    stack = [(0, base, 0)]  # (next prime index, divisor, |S|)
-    while stack:
-        i, d, size = stack.pop()
-        out.append((d, -1 if (omega - size) & 1 else 1))
-        room = bound // d
-        for j in range(i, omega):
-            if primes[j] > room:
-                break  # every later prime is larger still
-            stack.append((j + 1, d * primes[j], size + 1))
+    small = bisect_right(primes, isqrt(bound // base))
+    out = [(base, -1 if omega & 1 else 1)]
+    growing = [(base, 0)]  # (divisor, index of the least prime it may take)
+    size = 0
+    while growing:
+        size += 1
+        mu = -1 if (omega - size) & 1 else 1
+        grown = []
+        for d, i in growing:
+            cut = bisect_right(primes, bound // d, i)
+            out += zip(map(d.__mul__, primes[i:cut]), repeat(mu))
+            stop = min(cut, small)
+            grown += zip(map(d.__mul__, primes[i:stop]), range(i + 1, stop + 1))
+        growing = grown
     return out
 
 
@@ -233,11 +235,13 @@ def _truncated_product(
         raise ValueError("the Mobius product form requires n > 1")
     if not 0 <= start < truncation:
         raise ValueError(f"start must lie in [0, {truncation}), got {start}")
-    low: list[tuple[int, int]] = []
-    high: list[tuple[int, int]] = []
-    for d, mu in _mobius_unit_divisors(n, truncation - 1):
-        (low if 2 * d < truncation else high).append((d, exponent * mu))
-    if all(d <= start for d, _ in high):
+    steps = sorted(_mobius_unit_divisors(n, truncation - 1))
+    if exponent != 1:
+        steps = [(d, exponent * mu) for d, mu in steps]
+    # sorted by d, so the low ones (2d < truncation) come first
+    split = bisect_left(steps, ((truncation + 1) // 2,))
+    low, high = steps[:split], steps[split:]
+    if not high or high[-1][0] <= start:
         kernel_fac = _low_kernel(n, low)
         if kernel_fac is not None:
             return _periodic_tail(kernel_fac, high, truncation, start)
@@ -372,18 +376,6 @@ def c_table(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> InverseCoe
     if n > degree_budget:
         raise DegreeBudgetExceededError(f"{n} exceeds degree budget {degree_budget}")
     return _c_table_cached(factor(n))
-
-
-def psi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> PsiPoly:
-    """Exact Psi_n, read off the period of c(n, .).
-
-    1/Phi_n = -Psi_n / (1 - x**n) and deg Psi_n = n - phi(n) < n, so Psi_n
-    is the negated prefix of length n - phi(n) + 1 of that period.
-    """
-    period = c_table(n, degree_budget=degree_budget).period
-    # the last nonzero entry: period[deg] = -1 for n >= 2, period[0] for n = 1
-    degree = next(j for j in range(n - 1, -1, -1) if period[j])
-    return PsiPoly(n, tuple(-c for c in period[: degree + 1]))
 
 
 def a_coeff(n: int, k: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> int:

@@ -29,9 +29,12 @@ vanishes and the classical value 1 - t at offset 1 is unavailable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import cycle, islice
+from operator import lt
 
 from .arith import (
     DEFAULT_SCAN_CEILING,
@@ -276,16 +279,21 @@ def predict_window(
 
     Entry i is the predicted coefficient at k = p_t + i, namely
     c(kernel, k) - mu * t * c(kernel, k - 1) read from the periodic table.
+    It depends on k mod kernel alone, so the first min(W, kernel) entries,
+    W = 2*p_1 - p_t, are computed and tiled: O(min(W, kernel)) Python steps
+    and O(W) at C speed.
     """
     plan = certificate.plan
     period = c_table(plan.kernel, degree_budget=degree_budget).period
-    kernel, mu, t = plan.kernel, plan.mu_kernel, plan.t
+    kernel, step = plan.kernel, plan.mu_kernel * plan.t
     p_first = certificate.cluster.primes[0]
     p_last = certificate.cluster.primes[-1]
-    return tuple(
-        period[k % kernel] - mu * t * period[(k - 1) % kernel]
-        for k in range(p_last, 2 * p_first)
-    )
+    width = max(0, 2 * p_first - p_last)
+    first = [
+        period[k % kernel] - step * period[(k - 1) % kernel]
+        for k in range(p_last, p_last + min(width, kernel))
+    ]
+    return tuple(islice(cycle(first), width))
 
 
 def verify_certificate(
@@ -300,8 +308,13 @@ def verify_certificate(
     over N alone; every structural invariant (primality, congruences,
     interval bounds, parity of q, composition of N, the lift arithmetic) is
     revalidated.  With full_window, the window identity is additionally
-    checked at every index of [p_t, 2*p_1), not just the target.  Failures
-    never raise; they accumulate reason codes and yield passed=False.
+    checked at every index of [p_t, 2*p_1), not just the target, against
+    predict_window.  Failures never raise; they accumulate reason codes and
+    yield passed=False.
+
+    The per-prime checks (primality, order, congruence, composition) are
+    O(t), with their loops run in C through map and all; is_prime's
+    Miller-Rabin powers dominate them.  At m = 30, t is about |v|.
 
     The product is expanded to truncation k + 1 and read at k alone, or with
     full_window to 2*p_1 and read on [min(k, p_t), 2*p_1).  The low divisors
@@ -312,10 +325,10 @@ def verify_certificate(
     the product takes its periodic route: one period of 1/Phi_kernel, read
     from c_table's memo (keyed on the kernel as factored off N's own
     primes), then one tail period tiled over the read range,
-    O(#div(kernel) * kernel + t + W) for W coefficients read, independent
-    of p_1 and so of v.  A valid certificate whose first cluster prime lies
-    just above its kernel can make the kernel itself high (2 * kernel at or
-    above the truncation); it takes the dense route, as does any other N (a
+    O(#div(kernel) * kernel + t + W) for W coefficients read, which
+    depends on v only through t and W.  A valid certificate whose first
+    cluster prime lies just above its kernel can make the kernel itself
+    high (2 * kernel at or above the truncation); it takes the dense route, as does any other N (a
     tampered one), O(#low * truncation + t).  In the acceptance grid
     (m <= 30, |v| <= 10) those are 14 documents in plain verify, m in
     {1, 2, 4, 8, 16} with v = 0 and m = 30 with v in {0, 1}, both modes,
@@ -361,7 +374,7 @@ def verify_certificate(
     # cluster shape and interval bounds
     cluster_ok = bool(primes) and len(primes) == t and cluster.n >= 1
     if cluster_ok:
-        cluster_ok = all(primes[i] < primes[i + 1] for i in range(len(primes) - 1))
+        cluster_ok = all(map(lt, primes, primes[1:]))
         cluster_ok = cluster_ok and cluster.n < primes[0]
         cluster_ok = cluster_ok and primes[-1] * den < cluster.n * num
         cluster_ok = cluster_ok and primes[-1] < 2 * primes[0]
@@ -371,12 +384,12 @@ def verify_certificate(
         return VerificationReport(certificate, None, False, False, tuple(reasons))
     p_first, p_last = primes[0], primes[-1]
 
-    if not all(is_prime(p) for p in primes):
+    if not all(map(is_prime, primes)):
         flag(REASON_PRIMALITY)
     if certificate.q is not None and not is_prime(certificate.q):
         flag(REASON_PRIMALITY)
 
-    if kernel >= 1 and any(p % kernel != 1 % kernel for p in primes):
+    if kernel >= 1 and set(map(kernel.__rmod__, primes)) != {1 % kernel}:
         flag(REASON_CONGRUENCE)
 
     needs_q = mode_a == (t % 2 == 0)
@@ -389,11 +402,10 @@ def verify_certificate(
         kernel_primes = set(kernel_fac.primes())
         if kernel_primes & set(primes) or certificate.q in kernel_primes:
             flag(REASON_COPRIMALITY)
-        merged: dict[int, int] = dict(kernel_fac.factors)
-        for p in primes:
-            merged[p] = merged.get(p, 0) + 1
+        merged = Counter(dict(kernel_fac.factors))
+        merged.update(primes)
         if certificate.q is not None:
-            merged[certificate.q] = merged.get(certificate.q, 0) + 1
+            merged[certificate.q] += 1
         if certificate.N.factors != tuple(sorted(merged.items())):
             flag(REASON_COMPOSITION)
 

@@ -5,6 +5,7 @@ lists, schoolbook algorithms, trial division.  Nothing imports from the
 package under test.
 """
 
+import json
 from math import isqrt
 
 
@@ -161,3 +162,40 @@ def cluster_scan_bruteforce(
         if len(window) >= count:
             return n, window[:count]
     return None
+
+
+def serialize_document_by_dumps(document) -> str:
+    """A certificate document as json.dumps(..., indent=2) writes it: the
+    fields in schema order, then the verification report when present."""
+    cert = document.certificate
+    plan = cert.plan
+    data = {
+        "schema_version": "1",
+        "mode": cert.mode,
+        "m": cert.m_original,
+        "v": cert.v,
+        "kernel": plan.kernel,
+        "mu_kernel": plan.mu_kernel,
+        "t": plan.t,
+        "delta": plan.delta,
+        "cluster_n": cert.cluster.n,
+        "primes": list(cert.cluster.primes),
+        "q": cert.q,
+        "N_factors": [[p, e] for p, e in cert.N.factors],
+        "k": cert.k_kernel,
+        "stretch": cert.stretch,
+        "N_lifted_factors": [[p, e] for p, e in cert.N_lifted.factors],
+        "k_lifted": cert.k_lifted,
+        "truncation": cert.truncation,
+        "ratio_num": cert.ratio_num,
+        "ratio_den": cert.ratio_den,
+    }
+    report = document.verification
+    if report is not None:
+        data["verification"] = {
+            "pass": report.passed,
+            "computed_value": report.computed_value,
+            "window_checked": report.window_checked,
+            "reasons": list(report.reasons),
+        }
+    return json.dumps(data, indent=2) + "\n"

@@ -2,9 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cyclocert
 from cyclocert import cli, cyclo, hunter
@@ -16,15 +21,63 @@ from cyclocert.cli import (
     serialize_document,
 )
 from cyclocert.cyclo import DEFAULT_DEGREE_BUDGET
-from cyclocert.errors import DocumentFormatError
-from cyclocert.hunter import build_certificate, verify_certificate
-from oracles import cyclotomic_by_division, trial_factor
+from cyclocert.errors import MACHINE_INT_MAX, DocumentFormatError
+from cyclocert.hunter import VerificationReport, build_certificate, verify_certificate
+from oracles import cyclotomic_by_division, serialize_document_by_dumps, trial_factor
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_INT64 = st.integers(-MACHINE_INT_MAX, MACHINE_INT_MAX)
+
+
+def _bounded(lo: int) -> st.SearchStrategy[int]:
+    return st.integers(lo, MACHINE_INT_MAX)
+
+
+def _factor_lists() -> st.SearchStrategy[list[list[int]]]:
+    return st.lists(
+        st.tuples(_bounded(2), _bounded(1)), min_size=1, max_size=6, unique_by=lambda pe: pe[0]
+    ).map(lambda pairs: [list(pair) for pair in sorted(pairs)])
+
+
+@st.composite
+def document_fields(draw) -> dict:
+    """The fields of any document parse_document accepts, in schema order;
+    the values need not make a valid certificate."""
+    fields = {
+        "schema_version": "1",
+        "mode": draw(st.sampled_from("ac")),
+        "m": draw(st.one_of(st.just(1), _bounded(1))),
+        "v": draw(st.one_of(_INT64, st.integers(-(10**40), 0))),
+        "kernel": draw(_bounded(2)),
+        "mu_kernel": draw(st.sampled_from((-1, 1))),
+        "t": draw(_bounded(1)),
+        "delta": draw(_bounded(0)),
+        "cluster_n": draw(_bounded(1)),
+        "primes": draw(st.lists(_bounded(2), min_size=1, max_size=6)),
+        "q": draw(st.one_of(st.none(), _bounded(2))),
+        "N_factors": draw(_factor_lists()),
+        "k": draw(_bounded(0)),
+        "stretch": draw(st.one_of(st.just(1), _bounded(2))),
+        "N_lifted_factors": draw(_factor_lists()),
+        "k_lifted": draw(_bounded(0)),
+        "truncation": draw(_bounded(1)),
+        "ratio_num": draw(_bounded(1)),
+        "ratio_den": draw(_bounded(1)),
+    }
+    if draw(st.booleans()):
+        fields["verification"] = {
+            "pass": draw(st.booleans()),
+            "computed_value": draw(st.one_of(st.none(), _INT64)),
+            "window_checked": draw(st.booleans()),
+            "reasons": draw(st.lists(st.text(max_size=12), max_size=4)),
+        }
+    return fields
 
 
 class TestDocumentFormat:
@@ -73,6 +126,51 @@ class TestDocumentFormat:
     def test_not_json(self):
         with pytest.raises(DocumentFormatError):
             parse_document("certificate: yes")
+
+    def test_integer_past_the_digit_limit_is_a_format_error(self):
+        # json.loads raises a plain ValueError for an int literal this long
+        with pytest.raises(DocumentFormatError, match="not valid JSON"):
+            parse_document('{"m": 1' + "0" * 5000 + "}")
+
+    @pytest.mark.parametrize(
+        "m, v, mode, tamper",
+        [
+            (1, 0, "a", False),  # m = 1, q null
+            (6, 2, "a", False),  # q an integer
+            (12, -3, "c", False),  # stretch 2, v < 0
+            (30, 4, "a", True),  # reasons not empty
+        ],
+    )
+    def test_writer_matches_json_dumps_on_hunted_documents(self, m, v, mode, tamper):
+        cert = build_certificate(m, v, mode)
+        if tamper:
+            cert = replace(cert, v=v + 1)
+        report = verify_certificate(cert)
+        assert bool(report.reasons) == tamper
+        for document in (CertificateDocument(cert), CertificateDocument(cert, report)):
+            text = serialize_document(document)
+            assert text == serialize_document_by_dumps(document)
+            assert serialize_document(parse_document(text)) == text
+
+    @given(document_fields())
+    def test_writer_matches_json_dumps_on_parsed_documents(self, fields):
+        text = json.dumps(fields, indent=2) + "\n"
+        document = parse_document(text)
+        assert serialize_document(document) == serialize_document_by_dumps(document) == text
+
+    def test_writer_peak_memory_is_linear_in_the_document(self):
+        cert = build_certificate(30, 1000, "a")
+        document = CertificateDocument(cert, verify_certificate(cert))
+        length = len(serialize_document(document))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            serialize_document(document)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert cert.plan.t == 1000
+        assert peak <= 3 * length, (peak, length)
 
 
 class TestCoeffCommand:
@@ -252,6 +350,111 @@ class TestHuntAndVerify:
         code, out, err = run_cli(capsys, "verify", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "Traceback" not in err
+
+
+@lru_cache(maxsize=None)
+def _valid_texts() -> tuple[str, ...]:
+    """Small hunted documents with their reports, for the fuzz tests to mutate."""
+    texts = []
+    for m, v, mode in ((6, 2, "a"), (6, 2, "c"), (1, 0, "a"), (12, -3, "c"), (30, 4, "a")):
+        cert = build_certificate(m, v, mode)
+        texts.append(serialize_document(CertificateDocument(cert, verify_certificate(cert))))
+    return tuple(texts)
+
+
+_SWAPPED = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=8),
+    st.recursive(
+        st.lists(st.integers(-3, 40), max_size=3), lambda inner: st.lists(inner, max_size=3)
+    ),
+    st.none(),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+)
+_HUGE = st.sampled_from(
+    (MACHINE_INT_MAX, MACHINE_INT_MAX + 1, -MACHINE_INT_MAX - 2, 2**64 + 1, 10**30, -(10**30),
+     10**4000)
+)
+
+
+def _mutate(draw, data: dict) -> None:
+    """One mutation somewhere in the document: drop a field or an entry,
+    swap in another JSON type or a huge int, or reverse, duplicate or
+    resize a list (a factor pair included)."""
+    dicts = [data] + [value for value in data.values() if isinstance(value, dict)]
+    lists = [value for d in dicts for value in d.values() if isinstance(value, list) and value]
+    lists += [item for value in lists for item in value if isinstance(item, list) and item]
+    kind = draw(st.sampled_from(("drop", "swap", "huge", "reverse", "duplicate", "resize")))
+    if kind in ("drop", "swap", "huge"):
+        # a field half the time, else an entry of a list
+        target = draw(st.sampled_from(draw(st.sampled_from((dicts, lists))) or dicts))
+        if not target:
+            return
+        keys = list(target) if isinstance(target, dict) else range(len(target))
+        key = draw(st.sampled_from(keys))
+        if kind == "drop":
+            del target[key]
+        else:
+            target[key] = draw(_SWAPPED if kind == "swap" else _HUGE)
+    elif lists:
+        target = draw(st.sampled_from(lists))
+        if kind == "reverse":
+            target.reverse()
+        elif kind == "duplicate":
+            target.append(json.loads(json.dumps(target[-1])))
+        elif len(target) > 1 and draw(st.booleans()):
+            target.pop()
+        else:
+            target.append(1)
+
+
+@st.composite
+def mutated_documents(draw) -> tuple[str, str]:
+    """(a valid document, the same document after one to three mutations)."""
+    original = draw(st.sampled_from(_valid_texts()))
+    data = json.loads(original)
+    for _ in range(draw(st.integers(1, 3))):
+        _mutate(draw, data)
+    return original, json.dumps(data)
+
+
+def _same_certificate(text: str, original: str) -> bool:
+    try:
+        document = parse_document(text)
+    except DocumentFormatError:
+        return False
+    return document.certificate == parse_document(original).certificate
+
+
+class TestDocumentFuzz:
+    @settings(max_examples=300)
+    @given(mutated_documents())
+    def test_parse_raises_only_format_errors_and_verify_never_raises(self, case):
+        original, text = case
+        try:
+            document = parse_document(text)
+        except DocumentFormatError:
+            return
+        report = verify_certificate(document.certificate)
+        assert isinstance(report, VerificationReport)
+        # only a mutation that left the certificate alone (the embedded
+        # report aside) may still verify
+        assert report.passed == _same_certificate(text, original)
+
+    @settings(max_examples=6)
+    @given(mutated_documents())
+    def test_verify_exits_cleanly_in_a_fresh_process(self, case):
+        original, text = case
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "cert.json"
+            path.write_text(text)
+            run = subprocess.run(
+                [sys.executable, "-c", VERIFY_UNDER_ADDRESS_LIMIT, str(path)],
+                capture_output=True, text=True, env=fresh_process_env(), timeout=60,
+            )
+        assert "Traceback" not in run.stderr, run.stderr
+        assert run.returncode in ((0,) if _same_certificate(text, original) else (1, 2))
 
 
 def _record_expansions(monkeypatch) -> list[int]:

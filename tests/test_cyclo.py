@@ -14,7 +14,6 @@ from cyclocert.cyclo import (
     inverse_phi_truncated,
     phi_poly,
     phi_truncated,
-    psi_poly,
 )
 from cyclocert.errors import DegreeBudgetExceededError
 from cyclocert.series import TruncatedSeries
@@ -196,30 +195,36 @@ class TestPhiPoly:
             phi_poly(10**14, degree_budget=1000)  # rejected before factoring
 
 
+def psi_from_period(n: int) -> list[int]:
+    """Psi_n = (x**n - 1) / Phi_n, of degree n - phi(n) < n: since
+    1/Phi_n = -Psi_n / (1 - x**n), it is the negated prefix of the period."""
+    return [-c for c in c_table(n).period[: n - euler_phi(factor(n)) + 1]]
+
+
 class TestPsiPoly:
     def test_n_equals_one(self):
-        assert psi_poly(1).coeffs == (1,)
+        assert c_table(1).period == (-1,)
+        assert psi_from_period(1) == [1]
 
     def test_hexagonal(self):
         # product of the three proper-divisor polynomials
         expected = poly_mul(poly_mul([-1, 1], [1, 1]), [1, 1, 1])
-        assert list(psi_poly(6).coeffs) == expected
-        assert psi_poly(6).coeffs == (-1, -1, 0, 1, 1)
+        assert psi_from_period(6) == expected == [-1, -1, 0, 1, 1]
 
     def test_prime(self):
         for p in (2, 3, 5, 7, 97):
-            assert psi_poly(p).coeffs == (-1, 1)
+            assert c_table(p).period == (1, -1) + (0,) * (p - 2)
 
     def test_cofactor_identity_and_degree(self):
         for n in range(1, 101):
             phi = phi_poly(n).coeffs
-            psi = psi_poly(n).coeffs
-            assert len(psi) - 1 == n - euler_phi(factor(n)), n
-            assert poly_mul(list(phi), list(psi)) == [-1] + [0] * (n - 1) + [1], n
+            psi = psi_from_period(n)
+            assert psi[-1] == 1, n  # Psi_n is monic of degree n - phi(n)
+            assert poly_mul(list(phi), psi) == [-1] + [0] * (n - 1) + [1], n
 
     def test_degree_budget(self):
         with pytest.raises(DegreeBudgetExceededError):
-            psi_poly(101, degree_budget=100)
+            c_table(101, degree_budget=100)
 
 
 class TestACoeff:
@@ -322,7 +327,7 @@ class TestCTable:
     def test_period_and_psi_against_product_oracle(self, n):
         # 1/Phi_n = -Psi_n / (1 - x**n), so the period is -Psi_n padded to n
         psi = psi_by_product(n)
-        assert list(psi_poly(n).coeffs) == psi
+        assert psi_from_period(n) == psi
         assert list(c_table(n).period) == [-c for c in psi] + [0] * (n - len(psi))
 
     def test_tail_zero_window(self):
