@@ -82,8 +82,14 @@ def _check_phi_budget(fac: FactoredInteger, degree_budget: int) -> None:
         raise DegreeBudgetExceededError(f"phi({fac.value()}) exceeds degree budget {degree_budget}")
 
 
-def _mobius_unit_divisors(n: FactoredInteger, bound: int) -> list[tuple[int, int]]:
+def _mobius_unit_divisors(
+    n: FactoredInteger, bound: int, limit: int | None = None
+) -> list[tuple[int, int]]:
     """Divisors d <= bound of n with squarefree cofactor, as (d, mu(n/d)).
+
+    With a limit, raises DegreeBudgetExceededError as soon as more than
+    `limit` of them are listed, so a hostile n with a huge bound stops
+    there, never far past it.
 
     At each prime p**e of n the divisor must use exponent e or e-1, otherwise
     n/d is not squarefree.  So d = base * prod(S), where base is the product
@@ -117,6 +123,10 @@ def _mobius_unit_divisors(n: FactoredInteger, bound: int) -> list[tuple[int, int
         for d, i in growing:
             cut = bisect_right(primes, bound // d, i)
             out += zip(map(d.__mul__, primes[i:cut]), repeat(mu))
+            if limit is not None and len(out) > limit:
+                raise DegreeBudgetExceededError(
+                    f"more than {limit} divisors with squarefree cofactor up to {bound}"
+                )
             stop = min(cut, small)
             grown += zip(map(d.__mul__, primes[i:stop]), range(i + 1, stop + 1))
         growing = grown
@@ -235,7 +245,9 @@ def _truncated_product(
         raise ValueError("the Mobius product form requires n > 1")
     if not 0 <= start < truncation:
         raise ValueError(f"start must lie in [0, {truncation}), got {start}")
-    steps = sorted(_mobius_unit_divisors(n, truncation - 1))
+    # a valid certificate's N has at most K <= degree_budget divisors below
+    # the truncation from its kernel K, plus one per cluster prime
+    steps = sorted(_mobius_unit_divisors(n, truncation - 1, degree_budget + len(n.factors)))
     if exponent != 1:
         steps = [(d, exponent * mu) for d, mu in steps]
     # sorted by d, so the low ones (2d < truncation) come first
@@ -273,7 +285,10 @@ def phi_truncated(
     costs O(#low * truncation + #high), never governed by n itself, and
     holds one packed series of the truncation's coefficients plus the
     returned tuple; it raises DegreeBudgetExceededError, before it
-    allocates, when the truncation exceeds degree_budget.  Both routes
+    allocates, when the truncation exceeds degree_budget.  Either route
+    raises it once more than degree_budget + omega(n) divisors with
+    squarefree cofactor lie below the truncation, so a hostile n with a
+    huge truncation stops there.  Both routes
     raise ArithmeticOverflowError when a coefficient leaves the 64-bit
     range: on the dense route, any coefficient of the product after any
     step (checked only where a carried magnitude bound does not prove it);

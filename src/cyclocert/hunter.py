@@ -41,6 +41,7 @@ from .arith import (
     FactoredInteger,
     PrimeCluster,
     PrimeClusterSpec,
+    all_prime,
     factor,
     find_prime_cluster,
     is_prime,
@@ -313,8 +314,13 @@ def verify_certificate(
     yield passed=False.
 
     The per-prime checks (primality, order, congruence, composition) are
-    O(t), with their loops run in C through map and all; is_prime's
-    Miller-Rabin powers dominate them.  At m = 30, t is about |v|.
+    O(t), with their loops run in C through map and all.  At m = 30, t is
+    about |v|, and the cluster's window [p_1, p_t] holds about 100 integers
+    per prime, so all_prime proves them prime by one segmented sieve of the
+    window, O(p_t - p_1 + isqrt(p_t)) steps at C speed in
+    O(isqrt(p_t) + segment) memory; a window too sparse for that (a wide
+    kernel, a small cluster, or huge primes) goes to Miller-Rabin, one
+    is_prime call per prime, as q always does.
 
     The product is expanded to truncation k + 1 and read at k alone, or with
     full_window to 2*p_1 and read on [min(k, p_t), 2*p_1).  The low divisors
@@ -332,8 +338,10 @@ def verify_certificate(
     tampered one), O(#low * truncation + t).  In the acceptance grid
     (m <= 30, |v| <= 10) those are 14 documents in plain verify, m in
     {1, 2, 4, 8, 16} with v = 0 and m = 30 with v in {0, 1}, both modes,
-    all with truncation at most 34.  A "budget" reason means the dense
-    route's truncation exceeded degree_budget, so nothing was expanded.  An
+    all with truncation at most 34.  A "budget" reason means that nothing
+    was expanded: the dense route's truncation exceeded degree_budget, or N
+    has more than degree_budget + (its number of primes) divisors below the
+    truncation, where a valid certificate has at most #div(kernel) + t.  An
     "overflow" reason means that, on the periodic route, a coefficient of
     the period of 1/Phi_kernel or a coefficient read left the signed 64-bit
     range, and on the dense route a coefficient of the product (the seeded
@@ -384,7 +392,7 @@ def verify_certificate(
         return VerificationReport(certificate, None, False, False, tuple(reasons))
     p_first, p_last = primes[0], primes[-1]
 
-    if not all(map(is_prime, primes)):
+    if not all_prime(primes):
         flag(REASON_PRIMALITY)
     if certificate.q is not None and not is_prime(certificate.q):
         flag(REASON_PRIMALITY)

@@ -5,13 +5,14 @@ from collections import Counter
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cyclocert import arith
 from cyclocert.arith import (
     FactoredInteger,
     PrimeCluster,
     PrimeClusterSpec,
+    all_prime,
     euler_phi,
     factor,
     find_prime_cluster,
@@ -204,6 +205,82 @@ class TestPrimality:
         assert is_prime(2305843009213693951)  # 2**61 - 1
         assert is_prime(9223372036854775783)  # largest prime below 2**63
         assert not is_prime(9223372036854775781)
+
+
+# Jaeschke's psi_2 ... psi_7 (psi_8 = psi_7), the least strong pseudoprime to
+# the first 9 to 11 prime bases, and three Carmichael numbers
+_PSEUDOPRIMES = (
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+)
+_CARMICHAEL = (561, 1105, 1729)
+
+
+@st.composite
+def prime_lists(draw, bases=(0, 1, 2, *_CARMICHAEL, *_PSEUDOPRIMES)) -> list[int]:
+    """Mostly primes from one window, so that the answer is often True:
+    a sample of the primes in [base, base + width), optionally with
+    intruders (the window's other integers, 0, 1, 2, pseudoprimes,
+    Carmichael numbers), duplicated and shuffled."""
+    base = draw(st.one_of(st.sampled_from(bases), st.integers(0, 10**6)))
+    width = draw(st.integers(1, 3000))
+    window = range(base, base + width)
+    primes = [u for u in window if is_prime(u)] or [2]
+    values = draw(st.lists(st.sampled_from(primes), max_size=200))
+    values += draw(
+        st.lists(st.one_of(st.sampled_from(window), st.sampled_from(bases)), max_size=2)
+    )
+    values += draw(st.lists(st.sampled_from(values or [2]), max_size=3))
+    return draw(st.permutations(values))
+
+
+class TestAllPrime:
+    @settings(max_examples=150, deadline=None)
+    @given(prime_lists())
+    def test_equals_is_prime_on_each(self, values):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(arith, "_SIEVE_SEGMENT", 64)  # so segment ends are crossed
+            assert all_prime(values) == all(map(is_prime, values))
+
+    @settings(max_examples=100, deadline=None)
+    @given(prime_lists(bases=(0, 1, 2, *_CARMICHAEL, *_PSEUDOPRIMES[:3])))
+    def test_sieve_equals_is_prime_on_each(self, values):
+        # the rule forced to the sieve, whose base primes stay below 2**16
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(arith, "_SIEVE_SEGMENT", 64)
+            patch.setattr(arith, "_SIEVE_BREAK_EVEN", 1 << 40)
+            assert all_prime(values) == all(map(is_prime, values))
+
+    @pytest.mark.parametrize("composite", [*_CARMICHAEL, *_PSEUDOPRIMES[:2], 3 * 5 * 7, 2**16])
+    def test_sieve_rejects_a_composite_among_primes(self, monkeypatch, composite):
+        primes = [u for u in range(composite - 8000, composite + 8000) if is_prime(u)]
+        assert all_prime(primes)
+        monkeypatch.setattr(arith, "is_prime", None)  # the sieve route alone
+        assert all_prime(primes)
+        assert not all_prime(primes + [composite])
+        assert not all_prime([composite] + primes[::-1])
+
+    def test_edge_values(self):
+        assert all_prime([])
+        assert all_prime([2])
+        assert all_prime([2, 3, 5, 7, 2, 3])
+        assert not all_prime([0, 2, 3])
+        assert not all_prime([1])
+        assert not all_prime([4])
+        assert not all_prime(range(3, 10**4, 2))
+
+    def test_tiny_and_sparse_windows_take_miller_rabin(self, monkeypatch):
+        tiny = [151, 181, 211, 241, 271]  # a cluster of the acceptance grid
+        sparse = [next_prime_above(2**40), next_prime_above(2**41)]
+        calls = []
+        monkeypatch.setattr(arith, "is_prime", lambda u: calls.append(u) or is_prime(u))
+        assert all_prime(tiny) and all_prime(sparse)
+        assert calls == tiny + sparse
 
 
 class TestNextPrimeAbove:

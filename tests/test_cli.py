@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import cyclocert
 from cyclocert import cli, cyclo, hunter
-from cyclocert.arith import FactoredInteger
+from cyclocert.arith import FactoredInteger, next_prime_above
 from cyclocert.cli import (
     CertificateDocument,
     main,
@@ -226,6 +227,22 @@ class TestHuntAndVerify:
         report = json.loads(out2)
         assert report["pass"] and report["window_checked"]
         assert report["computed_value"] == -2
+
+    def test_verify_shares_no_sieve_with_the_hunter(self, capsys, monkeypatch, tmp_path):
+        # a deep document (m = 30, v = 300): its cluster is proved prime by
+        # the verifier's own sieve, never by the hunter's class-prime sieve
+        path = tmp_path / "cert.json"
+        hunt = ("hunt", "--m", "30", "--value", "300", "--mode", "c", "--out", str(path))
+        assert run_cli(capsys, *hunt)[0] == 0
+
+        def no_class_primes(*args):
+            raise AssertionError("the verifier read the hunter's sieve")
+
+        monkeypatch.setattr(cyclocert.arith, "_class_primes", no_class_primes)
+        code, out, _ = run_cli(capsys, "verify", str(path), "--full-window")
+        assert code == 0
+        report = json.loads(out)
+        assert report["pass"] and report["window_checked"]
 
     def test_hunt_delegates_m_one(self, capsys, tmp_path):
         out_path = tmp_path / "cert.json"
@@ -766,6 +783,32 @@ class TestFreshProcess:
         assert report["pass"] is False
         assert "budget" in report["reasons"]
         assert report["computed_value"] is None
+
+
+    def test_many_divisors_report_budget(self, capsys, tmp_path):
+        # N holds the first 40 primes and k lies above 2**61: N has far more
+        # divisors below k + 1 than a valid certificate could, so their
+        # enumeration must stop at the budget instead of exhausting memory
+        path = tmp_path / "cert.json"
+        run_cli(capsys, "hunt", "--m", "6", "--value", "2", "--mode", "c", "--out", str(path))
+        primes = [2]
+        while len(primes) < 40:
+            primes.append(next_prime_above(primes[-1]))
+        prime = next_prime_above(2**61)
+        data = json.loads(path.read_text())
+        data.update(N_factors=[[p, 1] for p in primes], primes=[prime], k=prime + 5)
+        path.write_text(json.dumps(data))
+        started = time.monotonic()
+        run = subprocess.run(
+            [sys.executable, "-c", VERIFY_UNDER_ADDRESS_LIMIT, str(path)],
+            capture_output=True, text=True, env=fresh_process_env(), timeout=60,
+        )
+        assert time.monotonic() - started < 20
+        assert run.returncode == 1, run.stderr
+        assert "Traceback" not in run.stderr
+        report = json.loads(run.stdout)
+        assert report["pass"] is False
+        assert "budget" in report["reasons"]
 
 
 # `verify` under the address-space limit of `ulimit -v 2000000`

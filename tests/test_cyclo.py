@@ -421,6 +421,21 @@ class TestPhiTruncated:
         n2 = n * FactoredInteger(((10**9 + 9, 1),))
         assert phi_truncated(n2, 8) == phi_truncated(factor(6), 8)
 
+    def test_divisor_count_is_budgeted(self):
+        # N = 6 * 21 primes in [1000, 2000): at truncation 2000 its divisors
+        # are 1, 2, 3, 6, making 1/Phi_6, and the 21 primes, so the periodic
+        # route needs no other budget; the enumeration admits
+        # degree_budget + 23 of the 25
+        primes = [p for p in sieve_primes(1999) if p > 1000][:21]
+        n = factor(6) * FactoredInteger(tuple((p, 1) for p in primes))
+        expected = phi_truncated(n, 2000, 1999)
+        assert phi_truncated(n, 2000, 1999, degree_budget=2) == expected
+        with pytest.raises(DegreeBudgetExceededError):
+            phi_truncated(n, 2000, 1999, degree_budget=1)
+        assert len(cyclo._mobius_unit_divisors(n, 1999, 25)) == 25
+        with pytest.raises(DegreeBudgetExceededError):
+            cyclo._mobius_unit_divisors(n, 1999, 24)
+
 
 class TestStartOffset:
     @given(split_products())

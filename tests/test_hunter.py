@@ -1,6 +1,7 @@
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -8,8 +9,16 @@ from pathlib import Path
 import pytest
 
 import cyclocert
-from cyclocert import cyclo, hunter
-from cyclocert.arith import FactoredInteger, PrimeCluster, euler_phi, factor, is_prime, radical
+from cyclocert import arith, cyclo, hunter
+from cyclocert.arith import (
+    FactoredInteger,
+    PrimeCluster,
+    euler_phi,
+    factor,
+    is_prime,
+    next_prime_above,
+    radical,
+)
 from cyclocert.cyclo import c_table, inverse_phi_truncated, phi_poly, phi_truncated
 from cyclocert.errors import SearchBoundExceededError
 from cyclocert.hunter import (
@@ -250,6 +259,64 @@ class TestVerifyCertificate:
             for mode in ("a", "c")
         ]
         assert max(found.values()) <= 34 < cyclo.DEFAULT_DEGREE_BUDGET
+
+    def test_composite_in_the_window_fails_primality(self, monkeypatch):
+        # one cluster prime of m = 30, v = 1000 swapped for a composite = 1
+        # (mod 30) between its neighbours, N and its lift rebuilt to match
+        cert = build_certificate(30, 1000)
+        primes = list(cert.cluster.primes)
+        i = 500
+        composite = next(
+            u for u in range(primes[i - 1] + 30, primes[i + 1], 30) if not is_prime(u)
+        )
+        primes[i] = composite
+        n = FactoredInteger(tuple((p, 1) for p in (2, 3, 5, *primes, cert.q)))
+        tampered = replace(
+            cert,
+            cluster=PrimeCluster(cert.cluster.n, tuple(primes)),
+            N=n,
+            N_lifted=n,
+        )
+        calls = []
+        monkeypatch.setattr(arith, "is_prime", lambda u: calls.append(u) or is_prime(u))
+        for full_window in (False, True):
+            report = verify_certificate(tampered, full_window)
+            assert not report.passed
+            assert "primality" in report.reasons
+            assert "composition" not in report.reasons
+        assert calls == []  # the window is dense: the sieve proved it
+
+    def test_sparse_window_takes_miller_rabin_in_small_memory(self, monkeypatch):
+        # primes [p, p + 2**40], both = 1 (mod 6): sieving their window would
+        # need base primes up to 2**20.8 and 2**40 flags
+        cert = build_certificate(6, 2, "c")
+        p = next_prime_above(2**41)
+        while p % 6 != 1:
+            p = next_prime_above(p)
+        p_last = next_prime_above(p + 2**40)
+        while p_last % 6 != 1:
+            p_last = next_prime_above(p_last)
+        n = factor(6) * FactoredInteger(((p, 1), (p_last, 1)))
+        sparse = replace(
+            cert,
+            cluster=PrimeCluster(p - 1, (p, p_last)),
+            N=n,
+            N_lifted=n,
+            k_kernel=p_last,
+            k_lifted=p_last,
+            truncation=2 * p,
+        )
+        calls = []
+        monkeypatch.setattr(arith, "is_prime", lambda u: calls.append(u) or is_prime(u))
+        tracemalloc.start()
+        try:
+            report = verify_certificate(sparse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "primality" not in report.reasons
+        assert calls[:2] == [p, p_last]
+        assert peak < 64 * 1024
 
     def test_grid_sample_full_window(self):
         for m in (1, 2, 3, 4, 6, 15, 18, 25, 30):
