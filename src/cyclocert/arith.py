@@ -413,18 +413,21 @@ def find_prime_cluster(
     """
     m, t = spec.modulus, spec.count
     num, den = spec.ratio_num, spec.ratio_den
-    window: deque[int] = deque(maxlen=t)  # p_i..p_{i+t-1} once full
-    low = spec.floor_n  # max(floor_n, p_{i-1})
-    for p in _class_primes(m, spec.floor_n, (scan_ceiling * num - 1) // den):
-        if len(window) == t:
-            low = window[0]
-        window.append(p)
-        if len(window) == t:
-            n = max(low, p * den // num + 1)
-            if n > scan_ceiling:
-                break
-            if n < window[0]:
-                return PrimeCluster(n=n, primes=tuple(window))
+    top, residue = (scan_ceiling * num - 1) // den, 1 % m
+    # no search when the class has fewer than t members in (floor_n, top]
+    if t <= (top - residue) // m - (spec.floor_n - residue) // m:
+        window: deque[int] = deque(maxlen=t)  # p_i..p_{i+t-1} once full
+        low = spec.floor_n  # max(floor_n, p_{i-1})
+        for p in _class_primes(m, spec.floor_n, top):
+            if len(window) == t:
+                low = window[0]
+            window.append(p)
+            if len(window) == t:
+                n = max(low, p * den // num + 1)
+                if n > scan_ceiling:
+                    break
+                if n < window[0]:
+                    return PrimeCluster(n=n, primes=tuple(window))
     raise SearchBoundExceededError(
         f"no cluster of {t} primes = 1 (mod {m}) in (n, {num}/{den}*n) for n <= {scan_ceiling}"
     )

@@ -43,28 +43,36 @@ from .hunter import (
 
 SCHEMA_VERSION = "1"
 
-_DOCUMENT_KEYS = (
-    "schema_version",
-    "mode",
-    "m",
-    "v",
-    "kernel",
-    "mu_kernel",
-    "t",
-    "delta",
-    "cluster_n",
-    "primes",
-    "q",
-    "N_factors",
-    "k",
-    "stretch",
-    "N_lifted_factors",
-    "k_lifted",
-    "truncation",
-    "ratio_num",
-    "ratio_den",
+# (key, format) of each document field, in document order; serialize_document's
+# layout is exactly json.dumps(data, indent=2) + "\n" of these fields, then
+# "verification" when present, with the arrays joined at C speed instead of
+# walked by the indenting encoder
+_DOCUMENT_FIELDS = (
+    ("schema_version", "%s"),
+    ("mode", "%s"),
+    ("m", "%d"),
+    ("v", "%d"),
+    ("kernel", "%d"),
+    ("mu_kernel", "%d"),
+    ("t", "%d"),
+    ("delta", "%d"),
+    ("cluster_n", "%d"),
+    ("primes", "%s"),
+    ("q", "%s"),
+    ("N_factors", "%s"),
+    ("k", "%d"),
+    ("stretch", "%d"),
+    ("N_lifted_factors", "%s"),
+    ("k_lifted", "%d"),
+    ("truncation", "%d"),
+    ("ratio_num", "%d"),
+    ("ratio_den", "%d"),
 )
+_DOCUMENT_KEYS = tuple(key for key, _ in _DOCUMENT_FIELDS)
+_DOCUMENT_TEMPLATE = "{\n%s%%s\n}\n" % ",\n".join('  "%s": %s' % f for f in _DOCUMENT_FIELDS)
 _REPORT_KEYS = ("pass", "computed_value", "window_checked", "reasons")
+_REPORT_TEMPLATE = "{\n%s\n}" % ",\n".join('  "%s": %%s' % key for key in _REPORT_KEYS)
+_PAIR_TEMPLATE = "[\n      %d,\n      %d\n    ]"
 
 
 @dataclass(frozen=True)
@@ -73,50 +81,6 @@ class CertificateDocument:
 
     certificate: Certificate
     verification: VerificationReport | None = None
-
-
-def _report_to_json(report: VerificationReport) -> dict:
-    return {
-        "pass": report.passed,
-        "computed_value": report.computed_value,
-        "window_checked": report.window_checked,
-        "reasons": list(report.reasons),
-    }
-
-
-# serialize_document's layout is exactly json.dumps(data, indent=2) + "\n" of
-# the fields in _DOCUMENT_KEYS order, then "verification" when present; the
-# arrays are joined at C speed instead of walked by the indenting encoder
-_DOCUMENT_TEMPLATE = """{
-  "schema_version": %s,
-  "mode": %s,
-  "m": %d,
-  "v": %d,
-  "kernel": %d,
-  "mu_kernel": %d,
-  "t": %d,
-  "delta": %d,
-  "cluster_n": %d,
-  "primes": %s,
-  "q": %s,
-  "N_factors": %s,
-  "k": %d,
-  "stretch": %d,
-  "N_lifted_factors": %s,
-  "k_lifted": %d,
-  "truncation": %d,
-  "ratio_num": %d,
-  "ratio_den": %d%s
-}
-"""
-_REPORT_TEMPLATE = """,
-  "verification": {
-    "pass": %s,
-    "computed_value": %s,
-    "window_checked": %s,
-    "reasons": %s
-  }"""
-_PAIR_TEMPLATE = "[\n      %d,\n      %d\n    ]"
 
 
 def _array(items: list[str], indent: str) -> str:
@@ -132,18 +96,25 @@ def _factors_array(n: FactoredInteger) -> str:
     return _array([_PAIR_TEMPLATE % pair for pair in n.factors], "  ")
 
 
+def _report_object(report: VerificationReport, indent: str) -> str:
+    """The report as json.dumps(..., indent=2) lays out an object whose
+    closing brace sits at `indent`."""
+    text = _REPORT_TEMPLATE % (
+        json.dumps(report.passed),
+        json.dumps(report.computed_value),
+        json.dumps(report.window_checked),
+        _array(list(map(json.dumps, report.reasons)), "  "),
+    )
+    return text.replace("\n", "\n" + indent)
+
+
 def serialize_document(document: CertificateDocument) -> str:
     cert = document.certificate
     plan = cert.plan
     report = document.verification
     verification = ""
     if report is not None:
-        verification = _REPORT_TEMPLATE % (
-            json.dumps(report.passed),
-            json.dumps(report.computed_value),
-            json.dumps(report.window_checked),
-            _array(list(map(json.dumps, report.reasons)), "    "),
-        )
+        verification = ',\n  "verification": ' + _report_object(report, "  ")
     return _DOCUMENT_TEMPLATE % (
         json.dumps(SCHEMA_VERSION),
         json.dumps(cert.mode),
@@ -362,7 +333,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = verify_certificate(
         document.certificate, full_window=args.full_window, degree_budget=_env_degree_budget()
     )
-    print(json.dumps(_report_to_json(report), indent=2))
+    print(_report_object(report, ""))
     return 0 if report.passed else 1
 
 
@@ -384,20 +355,23 @@ def _height_bound(fac: FactoredInteger) -> int | None:
 
 
 def _phi_prefix(
-    n: int, rad: FactoredInteger, kmax: int, budget: int
+    n: int, rad: FactoredInteger, kmax: int | None, budget: int
 ) -> list[int] | tuple[int, ...]:
-    """a(n, 0..kmax), empty for kmax < 0.
+    """a(n, 0..kmax), all of Phi_n for kmax None, empty for kmax < 0.
 
     Phi_n(x) = Phi_rad(x**s), s = n/rad, so these are the first
     floor(kmax/s) + 1 coefficients of Phi_rad, spread s apart.  They come
     from the truncated product, O(#low * kmax/s), unless that reaches half
     of Phi_rad's degree (or rad = 1), where the cached phi_poly(n) is read.
     """
+    s = n // rad.value()
+    phi = euler_phi(rad)
+    if kmax is None:
+        kmax = phi * s
     if kmax < 0:
         return ()
-    s = n // rad.value()
     reach = kmax // s
-    if rad.is_one or 2 * reach >= euler_phi(rad):
+    if rad.is_one or 2 * reach >= phi:
         return phi_poly(n, degree_budget=budget).coeffs[: kmax + 1]
     coeffs = [0] * (kmax + 1)
     coeffs[::s] = phi_truncated(rad, reach + 1)
@@ -428,10 +402,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         rad = radical(fac)
         if rad.value() < n and rad.value() % args.m == 0 and 0 in first_seen:
             continue
-        if args.kmax is None:
-            coeffs = phi_poly(n, degree_budget=budget).coeffs
-        else:
-            coeffs = _phi_prefix(n, rad, args.kmax, budget)
+        coeffs = _phi_prefix(n, rad, args.kmax, budget)
         new = set(coeffs).difference(first_seen)
         if new:
             # built from the top down, so each value keeps its smallest k

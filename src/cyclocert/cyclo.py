@@ -156,29 +156,21 @@ def _dense_product(
     return dense.suffix(start)
 
 
-def _low_kernel(n: FactoredInteger, low: list[tuple[int, int]]) -> FactoredInteger | None:
-    """K, factored, when the low (d, e_d) are exactly the (d, -mu(K/d)) over
-    the divisors d of K with squarefree K/d, K the largest low divisor; else
-    None.
+def _kernel_factors(n: FactoredInteger, steps: list[tuple[int, int]]) -> FactoredInteger | None:
+    """K, factored, when the sorted steps are exactly the (d, -mu(K/d)) over
+    the divisors d of K with squarefree K/d, K the last of them; else None.
 
     Their product is then 1/Phi_K (1/(1 - x) for K = 1), a series of period
-    K.  K's factorization is read off n's primes, since K divides n.
+    K.  K is a divisor of n with squarefree cofactor, so each p**e of n
+    divides it to the power e or e - 1.
     """
-    if not low:
-        return None
-    kernel = max(d for d, _ in low)
-    factors = []
-    for p, _ in n.factors:
-        if p > kernel:
-            break
-        e = 0
-        while kernel % p ** (e + 1) == 0:
-            e += 1
-        if e:
-            factors.append((p, e))
-    kernel_fac = FactoredInteger(tuple(factors))
+    kernel = steps[-1][0]
+    below = n.factors[: bisect_left(n.factors, (kernel + 1,))]
+    kernel_fac = FactoredInteger(
+        tuple((p, e if kernel % p**e == 0 else e - 1) for p, e in below if kernel % p == 0)
+    )
     unit = _mobius_unit_divisors(kernel_fac, kernel)
-    if sorted(low) != sorted((d, -mu) for d, mu in unit):
+    if steps != sorted((d, -mu) for d, mu in unit):
         return None
     return kernel_fac
 
@@ -226,20 +218,23 @@ def _truncated_product(
 
     A divisor is low when 2d < truncation and high otherwise.  Two routes:
 
-    - Periodic: when every high divisor is at most start and the low
-      factors are exactly those of 1/Phi_K for K the largest low divisor
-      (see _low_kernel), one period of 1/Phi_K is read from c_table's memo
-      and the requested coefficients are read from one tail period (see
-      _periodic_tail).  This is how the verifier reads the hunter's
-      certificates, except where the kernel is itself a high divisor (see
-      verify_certificate).  It costs O(#div(K) * K) on a memo miss plus
-      O(#residues * K + #high + (truncation - start)), and holds
+    - Periodic: when the factors up to some divisor K are exactly those of
+      1/Phi_K (see _kernel_factors) and every divisor above K is high and at
+      most start, one period of 1/Phi_K is read from c_table's memo and the
+      requested coefficients are read from one tail period (see
+      _periodic_tail).  K is the largest low divisor or else the least
+      high one, the latter only within degree_budget.  A valid certificate's
+      kernel K lies below its first cluster prime, hence below half the
+      truncation, so no proper divisor of K is high, and every valid
+      certificate takes this route.  It costs O(#div(K) * K) on a memo miss
+      plus O(#residues * K + #high + (truncation - start)), and holds
       O(K + truncation - start), independent of the truncation itself.
-    - Dense: otherwise, the seeded product of _dense_product, O(#low) steps
-      of O(truncation) each plus O(#high), holding one packed series of
-      the truncation's coefficients plus the returned tuple.  A truncation
-      above degree_budget raises DegreeBudgetExceededError before anything
-      of that size is allocated.
+    - Dense: otherwise (any other N, and the exact-polynomial builds), the
+      seeded product of _dense_product, O(#low) steps of O(truncation) each
+      plus O(#high), holding one packed series of the truncation's
+      coefficients plus the returned tuple.  A truncation above
+      degree_budget raises DegreeBudgetExceededError before anything of that
+      size is allocated.
     """
     if n.is_one:
         raise ValueError("the Mobius product form requires n > 1")
@@ -252,16 +247,21 @@ def _truncated_product(
         steps = [(d, exponent * mu) for d, mu in steps]
     # sorted by d, so the low ones (2d < truncation) come first
     split = bisect_left(steps, ((truncation + 1) // 2,))
-    low, high = steps[:split], steps[split:]
-    if not high or high[-1][0] <= start:
-        kernel_fac = _low_kernel(n, low)
-        if kernel_fac is not None:
-            return _periodic_tail(kernel_fac, high, truncation, start)
+    # the kernel ends steps[:end]: the largest low divisor, or else the least
+    # high one, that only within the budget, since its period is built whole
+    ends = [split] if split else []
+    if split < len(steps) and steps[split][0] <= degree_budget:
+        ends.append(split + 1)
+    for end in ends:
+        if end == len(steps) or steps[-1][0] <= start:
+            kernel_fac = _kernel_factors(n, steps[:end])
+            if kernel_fac is not None:
+                return _periodic_tail(kernel_fac, steps[end:], truncation, start)
     if truncation > degree_budget:
         raise DegreeBudgetExceededError(
             f"dense truncation {truncation} exceeds degree budget {degree_budget}"
         )
-    return _dense_product(truncation, start, low, high)
+    return _dense_product(truncation, start, steps[:split], steps[split:])
 
 
 def phi_truncated(
@@ -276,24 +276,25 @@ def phi_truncated(
     Applies (1 - x**d)**mu(n/d) for every divisor d below the truncation with
     squarefree cofactor; all other divisors contribute 1.  The result is the
     tuple of coefficients start..truncation-1, of length truncation - start.
-    Low divisors have 2d < truncation, high ones are the rest.  Where every
-    high divisor is at most start and the low ones make exactly 1/Phi_K, K
-    the largest of them, the result is tiled from one period of length K,
-    read from c_table's memo: O(#div(K) * K) to build it on a miss, plus
-    O(#residues mod K * K + #high + (truncation - start)) time, and
-    O(K + truncation - start) memory.  Otherwise the dense product
-    costs O(#low * truncation + #high), never governed by n itself, and
-    holds one packed series of the truncation's coefficients plus the
-    returned tuple; it raises DegreeBudgetExceededError, before it
-    allocates, when the truncation exceeds degree_budget.  Either route
-    raises it once more than degree_budget + omega(n) divisors with
-    squarefree cofactor lie below the truncation, so a hostile n with a
-    huge truncation stops there.  Both routes
-    raise ArithmeticOverflowError when a coefficient leaves the 64-bit
-    range: on the dense route, any coefficient of the product after any
-    step (checked only where a carried magnitude bound does not prove it);
-    on the periodic route, any coefficient of the period of 1/Phi_K or any
-    returned coefficient.
+    Low divisors have 2d < truncation, high ones are the rest.  Where the
+    divisors up to K make exactly 1/Phi_K and every one above K is at most
+    start, K the largest low divisor or else the least high one within
+    degree_budget (every valid certificate's kernel is one of the two), the
+    result is tiled from one period of length K, read from c_table's memo:
+    O(#div(K) * K) to build it on a miss, plus O(#residues mod K * K +
+    #high + (truncation - start)) time, and O(K + truncation - start)
+    memory.  Otherwise the dense product costs O(#low * truncation +
+    #high), never governed by n itself, and holds one packed series of the
+    truncation's coefficients plus the returned tuple; it raises
+    DegreeBudgetExceededError, before it allocates, when the truncation
+    exceeds degree_budget.  Either route raises it once more than
+    degree_budget + omega(n) divisors with squarefree cofactor lie below
+    the truncation, so a hostile n with a huge truncation stops there.
+    Both routes raise ArithmeticOverflowError when a coefficient leaves the
+    64-bit range: on the dense route, any coefficient of the product after
+    any step (checked only where a carried magnitude bound does not prove
+    it); on the periodic route, any coefficient of the period of 1/Phi_K or
+    any returned coefficient.
     """
     return _truncated_product(n, truncation, start, 1, degree_budget)
 

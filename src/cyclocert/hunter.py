@@ -325,27 +325,26 @@ def verify_certificate(
     The product is expanded to truncation k + 1 and read at k alone, or with
     full_window to 2*p_1 and read on [min(k, p_t), 2*p_1).  The low divisors
     of N (2d below that truncation) and the high ones (the rest) are taken
-    from N and the truncation alone.  For a valid certificate whose kernel
-    is low, the low ones are exactly those of 1/Phi_kernel and every high
-    one (a cluster prime) lies at or below the first coefficient read, so
-    the product takes its periodic route: one period of 1/Phi_kernel, read
-    from c_table's memo (keyed on the kernel as factored off N's own
-    primes), then one tail period tiled over the read range,
-    O(#div(kernel) * kernel + t + W) for W coefficients read, which
-    depends on v only through t and W.  A valid certificate whose first
-    cluster prime lies just above its kernel can make the kernel itself
-    high (2 * kernel at or above the truncation); it takes the dense route, as does any other N (a
-    tampered one), O(#low * truncation + t).  In the acceptance grid
-    (m <= 30, |v| <= 10) those are 14 documents in plain verify, m in
-    {1, 2, 4, 8, 16} with v = 0 and m = 30 with v in {0, 1}, both modes,
-    all with truncation at most 34.  A "budget" reason means that nothing
-    was expanded: the dense route's truncation exceeded degree_budget, or N
-    has more than degree_budget + (its number of primes) divisors below the
-    truncation, where a valid certificate has at most #div(kernel) + t.  An
-    "overflow" reason means that, on the periodic route, a coefficient of
-    the period of 1/Phi_kernel or a coefficient read left the signed 64-bit
-    range, and on the dense route a coefficient of the product (the seeded
-    high terms times the low factors applied so far) did, after any step.
+    from N and the truncation alone.  For a valid certificate the divisors
+    of the kernel are exactly the factors of 1/Phi_kernel, the kernel is
+    the largest low divisor or else the least high one (it lies below p_1,
+    so no proper divisor of it is high; the plan check holds it within
+    degree_budget, as the periodic route requires of a high kernel), and
+    every other divisor below the truncation is a cluster prime, high and
+    at or below the first coefficient read.  So the product takes its
+    periodic route: one period of 1/Phi_kernel, read from c_table's memo
+    (keyed on the kernel as factored off N's own primes), then one tail
+    period tiled over the read range, O(#div(kernel) * kernel + t + W) for
+    W coefficients read, which depends on v only through t and W.  Any
+    other N (a tampered one) takes the dense route, O(#low * truncation +
+    t).  A "budget" reason means that nothing was expanded: the dense
+    route's truncation exceeded degree_budget, or N has more than
+    degree_budget + (its number of primes) divisors below the truncation,
+    where a valid certificate has at most #div(kernel) + t.  An "overflow"
+    reason means that, on the periodic route, a coefficient of the period
+    of 1/Phi_kernel or a coefficient read left the signed 64-bit range, and
+    on the dense route a coefficient of the product (the seeded high terms
+    times the low factors applied so far) did, after any step.
     """
     reasons: list[str] = []
 

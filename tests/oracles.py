@@ -190,12 +190,17 @@ def serialize_document_by_dumps(document) -> str:
         "ratio_num": cert.ratio_num,
         "ratio_den": cert.ratio_den,
     }
-    report = document.verification
-    if report is not None:
-        data["verification"] = {
-            "pass": report.passed,
-            "computed_value": report.computed_value,
-            "window_checked": report.window_checked,
-            "reasons": list(report.reasons),
-        }
+    if document.verification is not None:
+        data["verification"] = report_fields(document.verification)
     return json.dumps(data, indent=2) + "\n"
+
+
+def report_fields(report) -> dict:
+    """A verification report as the JSON object that `verify` prints and a
+    document embeds."""
+    return {
+        "pass": report.passed,
+        "computed_value": report.computed_value,
+        "window_checked": report.window_checked,
+        "reasons": list(report.reasons),
+    }

@@ -24,7 +24,12 @@ from cyclocert.cli import (
 from cyclocert.cyclo import DEFAULT_DEGREE_BUDGET
 from cyclocert.errors import MACHINE_INT_MAX, DocumentFormatError
 from cyclocert.hunter import VerificationReport, build_certificate, verify_certificate
-from oracles import cyclotomic_by_division, serialize_document_by_dumps, trial_factor
+from oracles import (
+    cyclotomic_by_division,
+    report_fields,
+    serialize_document_by_dumps,
+    trial_factor,
+)
 
 
 def run_cli(capsys, *argv):
@@ -271,6 +276,62 @@ class TestHuntAndVerify:
         code, _, err = run_cli(capsys, "hunt", "--m", "15", "--value", "-2", "--mode", "a")
         assert code == 2
         assert "cluster" in err
+
+    @pytest.mark.parametrize("mode", ["a", "c"])
+    @pytest.mark.parametrize(
+        "m, v, budget",
+        [(30, 0, 31), (30, 1, 33), (210, -1, 210), (210, 1, 220), (2310, -2, 2320),
+         (2310, 2, 2320)],
+    )
+    def test_budget_just_above_the_kernel(self, capsys, monkeypatch, tmp_path, m, v, budget,
+                                          mode):
+        # the first cluster prime lies just above the kernel, which is then a
+        # high divisor: the product is still read from one period of
+        # 1/Phi_kernel, never truncated densely against the budget
+        hunt = ("hunt", "--m", str(m), "--value", str(v), "--mode", mode)
+        code, expected, _ = run_cli(capsys, *hunt)
+        assert code == 0
+        monkeypatch.setenv("CYCLO_DEGREE_BUDGET", str(budget))
+        assert run_cli(capsys, *hunt) == (0, expected, "")
+        path = tmp_path / "cert.json"
+        path.write_text(expected)
+        for window in ((), ("--full-window",)):
+            code, out, _ = run_cli(capsys, "verify", str(path), *window)
+            assert code == 0, out
+
+    @pytest.mark.parametrize("full_window", [False, True])
+    @pytest.mark.parametrize(
+        "m, v, mode, tamper",
+        [(1, 0, "a", {}), (12, -3, "c", {}), (30, 4, "a", {"v": 5}), (6, 2, "c", {"primes": [7]}),
+         (15, -2, "a", {"k": 0})],
+    )
+    def test_verify_prints_the_report_as_json_dumps(
+        self, capsys, tmp_path, m, v, mode, tamper, full_window
+    ):
+        path = tmp_path / "cert.json"
+        run_cli(capsys, "hunt", "--m", str(m), "--value", str(v), "--mode", mode,
+                "--out", str(path))
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), **tamper)))
+        certificate = parse_document(path.read_text()).certificate
+        report = verify_certificate(certificate, full_window)
+        window = ("--full-window",) if full_window else ()
+        code, out, _ = run_cli(capsys, "verify", str(path), *window)
+        assert code == (0 if report.passed else 1)
+        assert bool(tamper) != report.passed
+        assert out == json.dumps(report_fields(report), indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", ["100000000", "99999999999999999999999"])
+    def test_more_primes_than_the_class_holds_exit_2_unsieved(self, capsys, monkeypatch,
+                                                               value):
+        # t is about |v| at m = 6, beyond the class members = 1 (mod 6) below
+        # r times the scan ceiling, so the search fails before it sieves
+        def no_sieve(*args):
+            raise AssertionError("the class was sieved")
+
+        monkeypatch.setattr(cyclocert.arith, "_class_primes", no_sieve)
+        code, out, err = run_cli(capsys, "hunt", "--m", "6", "--value", value, "--mode", "a")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: no cluster of {value} primes")
 
     def test_verify_tampered_value(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
@@ -784,6 +845,28 @@ class TestFreshProcess:
         assert "budget" in report["reasons"]
         assert report["computed_value"] is None
 
+
+    def test_huge_high_kernel_reports_budget(self, capsys, tmp_path):
+        # N = p * p' with p above half the truncation k + 1 and p' above the
+        # truncation: p is the least high divisor and with the low divisor 1
+        # it makes 1/Phi_p, but a period of length p > 10**12 is beyond the
+        # budget, so the product takes the dense route, which the budget
+        # refuses before it allocates
+        path = tmp_path / "cert.json"
+        run_cli(capsys, "hunt", "--m", "6", "--value", "2", "--mode", "a", "--out", str(path))
+        prime = 1000000000039
+        data = json.loads(path.read_text())
+        data.update(N_factors=[[prime, 1], [3000000000121, 1]], primes=[prime], k=prime + 5)
+        path.write_text(json.dumps(data))
+        run = subprocess.run(
+            [sys.executable, "-c", VERIFY_UNDER_ADDRESS_LIMIT, str(path)],
+            capture_output=True, text=True, env=fresh_process_env(), timeout=60,
+        )
+        assert run.returncode == 1, run.stderr
+        assert "Traceback" not in run.stderr
+        report = json.loads(run.stdout)
+        assert "budget" in report["reasons"]
+        assert report["computed_value"] is None
 
     def test_many_divisors_report_budget(self, capsys, tmp_path):
         # N holds the first 40 primes and k lies above 2**61: N has far more

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclocert import cyclo
-from cyclocert.arith import FactoredInteger, euler_phi, factor
+from cyclocert.arith import FactoredInteger, euler_phi, factor, next_prime_above
 from cyclocert.cyclo import (
     a_coeff,
     c_coeff,
@@ -87,6 +87,32 @@ def small_kernels(limit: int) -> list[FactoredInteger]:
 
 
 KERNELS = small_kernels(150)
+
+
+@st.composite
+def high_kernel_products(draw) -> tuple[FactoredInteger, int, int, object]:
+    """(n, truncation, start, periodic) where n = K * p, p a prime in
+    (K, 2K), times a prime q at or above the truncation or not, and
+    p <= start < truncation <= 2K, so that K is itself a high divisor.  The
+    factors over K's divisors make 1/Phi_K for `periodic`, phi_truncated
+    without q and inverse_phi_truncated with it, whose product is then read
+    from one period of 1/Phi_K; K's period is left in c_table's memo."""
+    kernel = draw(st.sampled_from([fac for fac in KERNELS if not fac.is_one]))
+    k = kernel.value()
+    p = draw(st.sampled_from([p for p in PRIMES_BELOW_300 if k < p < 2 * k]))
+    truncation = draw(st.integers(min_value=p + 1, max_value=2 * k))
+    primes = [p]
+    with_q = draw(st.booleans())
+    if with_q:
+        primes.append(next_prime_above(truncation - 1))
+    c_table(k)
+    n = kernel * FactoredInteger(tuple((q, 1) for q in primes))
+    start = draw(st.integers(min_value=p, max_value=truncation - 1))
+    return n, truncation, start, inverse_phi_truncated if with_q else phi_truncated
+
+
+def refuse_dense_route(*args):
+    raise AssertionError("the dense route was taken")
 
 
 @st.composite
@@ -459,6 +485,16 @@ class TestStartOffset:
         for expand, exponent in ((phi_truncated, 1), (inverse_phi_truncated, -1)):
             expected = divisor_product(n.value(), truncation, exponent)
             assert list(expand(n, truncation, start)) == expected[start:]
+
+    @given(high_kernel_products())
+    def test_kernel_that_is_a_high_divisor(self, case):
+        n, truncation, start, periodic = case
+        for expand, exponent in ((phi_truncated, 1), (inverse_phi_truncated, -1)):
+            expected = divisor_product(n.value(), truncation, exponent)
+            with pytest.MonkeyPatch.context() as patch:
+                if expand is periodic:
+                    patch.setattr(cyclo, "_dense_product", refuse_dense_route)
+                assert list(expand(n, truncation, start)) == expected[start:]
 
     def test_start_outside_the_truncation_rejected(self):
         for start in (-1, 8):

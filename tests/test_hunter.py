@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cyclocert
 from cyclocert import arith, cyclo, hunter
@@ -234,31 +235,41 @@ class TestPredictWindow:
 
 
 class TestVerifyCertificate:
-    def test_only_small_grid_documents_take_the_dense_route(self, monkeypatch):
-        # a cluster prime just above the kernel makes the kernel itself a
-        # high divisor, so the verifier's product takes the dense route
-        truncations = []
-        dense = cyclo._dense_product
+    def test_no_hunted_certificate_takes_the_dense_route(self, monkeypatch):
+        # the acceptance grid, deep's six and two wide kernels, in both modes;
+        # a cluster prime just above the kernel (3 over 2, or 31 over 30)
+        # makes the kernel itself a high divisor, and the product is still
+        # read from one period of 1/Phi_kernel
+        cases = [(m, v) for m in range(1, 31) for v in range(-10, 11)]
+        cases += [(30, v) for v in (300, -300, 1000)]
+        cases += [(m, v) for m in (210, 2310) for v in range(-3, 4)]
+        certs = [build_certificate(m, v, mode) for m, v in cases for mode in "ac"]
 
-        def recorded(truncation, start, low, high):
-            truncations.append(truncation)
-            return dense(truncation, start, low, high)
+        def refuse(*args):
+            raise AssertionError("dense route")
 
-        monkeypatch.setattr(cyclo, "_dense_product", recorded)
-        found = {}
-        for m in range(1, 31):
-            for v in range(-10, 11):
-                for mode in ("a", "c"):
-                    truncations.clear()
-                    assert verify_certificate(build_certificate(m, v, mode)).passed
-                    if truncations:
-                        found[m, v, mode] = max(truncations)
-        assert sorted(found) == [
-            (m, v, mode)
-            for m, v in ((1, 0), (2, 0), (4, 0), (8, 0), (16, 0), (30, 0), (30, 1))
-            for mode in ("a", "c")
-        ]
-        assert max(found.values()) <= 34 < cyclo.DEFAULT_DEGREE_BUDGET
+        # the builds above left every kernel's period in c_table's memo
+        monkeypatch.setattr(cyclo, "_dense_product", refuse)
+        for cert in certs:
+            for full_window in (False, True):
+                report = verify_certificate(cert, full_window)
+                assert report.passed, (cert.m_original, cert.v, cert.mode, full_window)
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(1, 60), st.integers(-20, 20), st.sampled_from("ac"), st.integers(0, 60)
+    )
+    @example(30, 0, "a", 1)  # a kernel of 30 that is high, under a budget of 31
+    @example(30, 1, "c", 3)
+    def test_plain_and_full_window_agree_under_a_budget_from_the_kernel(
+        self, m, v, mode, extra
+    ):
+        cert = build_certificate(m, v, mode)
+        kernel = cert.plan.kernel
+        budget = kernel + extra % (kernel + 1)  # in [K, 2K]
+        plain = verify_certificate(cert, degree_budget=budget)
+        full = verify_certificate(cert, True, degree_budget=budget)
+        assert plain.passed and full.passed, (plain.reasons, full.reasons)
 
     def test_composite_in_the_window_fails_primality(self, monkeypatch):
         # one cluster prime of m = 30, v = 1000 swapped for a composite = 1

@@ -1,9 +1,11 @@
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import cyclocert
+from cyclocert import cli, hunter
 
 
 def test_every_exported_name_resolves():
@@ -75,3 +77,33 @@ def test_commands_load_standard_library_modules_only():
     assert "cyclocert" in loaded.split()
     outside = set(loaded.split()) - set(sys.stdlib_module_names) - {"cyclocert"}
     assert outside == set()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_lists_every_reason_code():
+    # a new reason code cannot land undocumented, nor a dropped one linger
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"stable reason codes \(([^)]*)\)", text).group(1)
+    codes = re.findall(r"`([^`]+)`", listed)
+    constants = {getattr(hunter, name) for name in dir(hunter) if name.startswith("REASON_")}
+    assert len(codes) == len(set(codes))
+    assert set(codes) == constants
+
+
+def test_readme_lists_every_environment_override():
+    # the CYCLO_* variables named under "Environment overrides" are exactly
+    # the string literals of that form in cli
+    text = README.read_text(encoding="utf-8")
+    section = text.split("Environment overrides:", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"`(CYCLO_\w+)`", section))
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    read = {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.startswith("CYCLO_")
+    }
+    assert read and documented == read
