@@ -33,7 +33,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import cycle, islice
 from operator import lt
 
 from .arith import (
@@ -276,13 +275,12 @@ def lift_to_modulus(certificate: Certificate) -> tuple[FactoredInteger, int]:
 def predict_window(
     certificate: Certificate, *, degree_budget: int = DEFAULT_DEGREE_BUDGET
 ) -> tuple[int, ...]:
-    """Window-identity values for every k in [p_t, 2*p_1).
+    """One period of the window identity's values on [p_t, 2*p_1).
 
-    Entry i is the predicted coefficient at k = p_t + i, namely
-    c(kernel, k) - mu * t * c(kernel, k - 1) read from the periodic table.
-    It depends on k mod kernel alone, so the first min(W, kernel) entries,
-    W = 2*p_1 - p_t, are computed and tiled: O(min(W, kernel)) Python steps
-    and O(W) at C speed.
+    Entry i is c(kernel, k) - mu * t * c(kernel, k - 1) at k = p_t + i, for
+    the first min(W, kernel) k of the window, W = 2*p_1 - p_t.  It depends
+    on k mod kernel alone, so entry (k - p_t) mod kernel predicts every k of
+    the window: O(min(W, kernel)) steps and memory.
     """
     plan = certificate.plan
     period = c_table(plan.kernel, degree_budget=degree_budget).period
@@ -290,11 +288,10 @@ def predict_window(
     p_first = certificate.cluster.primes[0]
     p_last = certificate.cluster.primes[-1]
     width = max(0, 2 * p_first - p_last)
-    first = [
+    return tuple(
         period[k % kernel] - step * period[(k - 1) % kernel]
         for k in range(p_last, p_last + min(width, kernel))
-    ]
-    return tuple(islice(cycle(first), width))
+    )
 
 
 def verify_certificate(
@@ -308,10 +305,14 @@ def verify_certificate(
     The claimed coefficient is recomputed from the truncated divisor product
     over N alone; every structural invariant (primality, congruences,
     interval bounds, parity of q, composition of N, the lift arithmetic) is
-    revalidated.  With full_window, the window identity is additionally
-    checked at every index of [p_t, 2*p_1), not just the target, against
-    predict_window.  Failures never raise; they accumulate reason codes and
-    yield passed=False.
+    revalidated.  With full_window, the window identity is also checked on
+    one period, the first min(W, kernel) indices of [p_t, 2*p_1), against
+    predict_window.  Unless a kernel, cluster, congruence, composition,
+    parity, q-bound or coprimality reason is flagged, N = kernel * p_1 ...
+    p_t (* q > 2*p_1) with every p_i = 1 (mod kernel), so both sides have
+    period kernel below x**(2*p_1) and one period decides the window; a
+    certificate so flagged need not also carry "window-mismatch".  Failures
+    never raise; they accumulate reason codes and yield passed=False.
 
     The per-prime checks (primality, order, congruence, composition) are
     O(t), with their loops run in C through map and all.  At m = 30, t is
@@ -323,28 +324,28 @@ def verify_certificate(
     is_prime call per prime, as q always does.
 
     The product is expanded to truncation k + 1 and read at k alone, or with
-    full_window to 2*p_1 and read on [min(k, p_t), 2*p_1).  The low divisors
-    of N (2d below that truncation) and the high ones (the rest) are taken
-    from N and the truncation alone.  For a valid certificate the divisors
-    of the kernel are exactly the factors of 1/Phi_kernel, the kernel is
-    the largest low divisor or else the least high one (it lies below p_1,
-    so no proper divisor of it is high; the plan check holds it within
-    degree_budget, as the periodic route requires of a high kernel), and
-    every other divisor below the truncation is a cluster prime, high and
-    at or below the first coefficient read.  So the product takes its
-    periodic route: one period of 1/Phi_kernel, read from c_table's memo
-    (keyed on the kernel as factored off N's own primes), then one tail
-    period tiled over the read range, O(#div(kernel) * kernel + t + W) for
-    W coefficients read, which depends on v only through t and W.  Any
-    other N (a tampered one) takes the dense route, O(#low * truncation +
-    t).  A "budget" reason means that nothing was expanded: the dense
-    route's truncation exceeded degree_budget, or N has more than
-    degree_budget + (its number of primes) divisors below the truncation,
-    where a valid certificate has at most #div(kernel) + t.  An "overflow"
-    reason means that, on the periodic route, a coefficient of the period
-    of 1/Phi_kernel or a coefficient read left the signed 64-bit range, and
-    on the dense route a coefficient of the product (the seeded high terms
-    times the low factors applied so far) did, after any step.
+    full_window to p_t + len(predict_window) and read on that period, which
+    holds k for a valid certificate (k = p_t + delta, delta below W and the
+    kernel); a k outside it is read alone.  Low divisors of N (2d below the
+    truncation) and high ones (the rest) are taken from N and the
+    truncation alone.  For a valid certificate the divisors of the kernel
+    are exactly the factors of 1/Phi_kernel, the kernel is the largest low
+    divisor or else the least high one (it lies below p_1, so no proper
+    divisor of it is high; the plan check holds it within degree_budget,
+    as the periodic route requires of a high kernel), and every other
+    divisor below the truncation is a cluster prime, high and at or below
+    the first coefficient read.  So the product takes its periodic route:
+    one period of 1/Phi_kernel, read from c_table's memo (keyed on the
+    kernel as factored off N's own primes), then one tail period, in
+    O(#div(kernel) * kernel + t) either way, which depends on v only
+    through t.  Any other N (a tampered one) takes the dense route,
+    O(#low * truncation + t).  A "budget" reason means that nothing was
+    expanded: the dense route's truncation exceeded degree_budget, or N
+    has more than degree_budget + omega(N) divisors below the truncation
+    (a valid certificate has at most #div(kernel) + t).  An "overflow"
+    reason means that a coefficient of the period of 1/Phi_kernel or one
+    read (periodic route), or of the product after any step (dense route),
+    left the signed 64-bit range.
     """
     reasons: list[str] = []
 
@@ -446,41 +447,40 @@ def verify_certificate(
     if not m_fac.divides(certificate.N_lifted):
         flag(REASON_LIFT)
 
-    # the independent recomputation: truncated divisor product over N alone,
-    # expanded only as far as the coefficients read below
-    horizon = 2 * p_first
-    k = certificate.k_kernel
-    if full_window:
-        start, truncation = max(0, min(k, p_last, horizon - 1)), horizon
-    else:
-        start, truncation = k, k + 1
-    computed: int | None = None
-    expansion: tuple[int, ...] | None = None
-    if 0 <= start < truncation <= horizon:
-        expand = phi_truncated if mode_a else inverse_phi_truncated
+    # the independent recomputation: the truncated divisor product over N
+    # alone, expanded only as far as the coefficients read below
+    expand = phi_truncated if mode_a else inverse_phi_truncated
+
+    def read(start: int, stop: int) -> tuple[int, ...] | None:
         try:
-            expansion = expand(certificate.N, truncation, start, degree_budget=degree_budget)
+            return expand(certificate.N, stop, start, degree_budget=degree_budget)
         except ArithmeticOverflowError:
             flag(REASON_OVERFLOW)
         except DegreeBudgetExceededError:
             flag(REASON_BUDGET)
-    if expansion is not None and start <= k < truncation:
-        computed = expansion[k - start]
+        return None
+
+    k = certificate.k_kernel
+    window: tuple[int, ...] = ()
+    expansion: tuple[int, ...] | None = None
+    if full_window and period is not None and p_last >= 0:
+        window = predict_window(certificate, degree_budget=degree_budget)
+        expansion = read(p_last, p_last + len(window)) if window else ()
+    computed: int | None = None
+    if p_last <= k < p_last + len(window):
+        computed = None if expansion is None else expansion[k - p_last]
+    elif 0 <= k < 2 * p_first and (at_k := read(k, k + 1)) is not None:
+        computed = at_k[0]
     if computed != certificate.v:
         flag(REASON_VALUE)
 
-    window_checked = False
-    if full_window and expansion is not None and period is not None:
-        window_checked = True
-        if expansion[p_last - start :] != predict_window(
-            certificate, degree_budget=degree_budget
-        ):
-            flag(REASON_WINDOW_MISMATCH)
+    if expansion is not None and expansion != window:
+        flag(REASON_WINDOW_MISMATCH)
 
     return VerificationReport(
         certificate=certificate,
         computed_value=computed,
-        window_checked=window_checked,
+        window_checked=expansion is not None,
         passed=not reasons,
         reasons=tuple(reasons),
     )

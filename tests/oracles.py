@@ -204,3 +204,21 @@ def report_fields(report) -> dict:
         "window_checked": report.window_checked,
         "reasons": list(report.reasons),
     }
+
+
+def whole_window_mismatches(expand, n, p_first, p_last, period, mu, t) -> list[int]:
+    """The indices k of the window [p_t, 2*p_1) at which the expansion
+    differs from the window identity c(K, k) - mu * t * c(K, k - 1).
+
+    `expand(n, truncation, start)` is read over the whole window at once,
+    at truncation 2*p_1, and `period` is one period of c(K, .): every index
+    is compared, and the expansion is not assumed periodic."""
+    if p_last >= 2 * p_first:
+        return []
+    expansion = expand(n, 2 * p_first, p_last)
+    kernel = len(period)
+    return [
+        k
+        for k, got in enumerate(expansion, p_last)
+        if got != period[k % kernel] - mu * t * period[(k - 1) % kernel]
+    ]

@@ -514,11 +514,13 @@ class TestDocumentFuzz:
             document = parse_document(text)
         except DocumentFormatError:
             return
-        report = verify_certificate(document.certificate)
-        assert isinstance(report, VerificationReport)
-        # only a mutation that left the certificate alone (the embedded
-        # report aside) may still verify
-        assert report.passed == _same_certificate(text, original)
+        same = _same_certificate(text, original)
+        for full_window in (False, True):
+            report = verify_certificate(document.certificate, full_window)
+            assert isinstance(report, VerificationReport)
+            # only a mutation that left the certificate alone (the embedded
+            # report aside) may still verify
+            assert report.passed == same, (full_window, report.reasons)
 
     @settings(max_examples=6)
     @given(mutated_documents())
@@ -527,12 +529,10 @@ class TestDocumentFuzz:
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "cert.json"
             path.write_text(text)
-            run = subprocess.run(
-                [sys.executable, "-c", VERIFY_UNDER_ADDRESS_LIMIT, str(path)],
-                capture_output=True, text=True, env=fresh_process_env(), timeout=60,
-            )
-        assert "Traceback" not in run.stderr, run.stderr
-        assert run.returncode in ((0,) if _same_certificate(text, original) else (1, 2))
+            runs = _verify_under_limit(path)
+        for _, run in runs:
+            assert "Traceback" not in run.stderr, run.stderr
+            assert run.returncode in ((0,) if _same_certificate(text, original) else (1, 2))
 
 
 def _record_expansions(monkeypatch) -> list[int]:
@@ -834,17 +834,13 @@ class TestFreshProcess:
         data = json.loads(path.read_text())
         data.update(primes=[prime], t=1, k=prime, cluster_n=prime - 1)
         path.write_text(json.dumps(data))
-        run = subprocess.run(
-            [sys.executable, "-c", VERIFY_UNDER_ADDRESS_LIMIT, str(path)],
-            capture_output=True, text=True, env=fresh_process_env(), timeout=60,
-        )
-        assert run.returncode == 1, run.stderr
-        assert "Traceback" not in run.stderr
-        report = json.loads(run.stdout)
-        assert report["pass"] is False
-        assert "budget" in report["reasons"]
-        assert report["computed_value"] is None
-
+        for _, run in _verify_under_limit(path):
+            assert run.returncode == 1, run.stderr
+            assert "Traceback" not in run.stderr
+            report = json.loads(run.stdout)
+            assert report["pass"] is False
+            assert "budget" in report["reasons"]
+            assert report["computed_value"] is None
 
     def test_huge_high_kernel_reports_budget(self, capsys, tmp_path):
         # N = p * p' with p above half the truncation k + 1 and p' above the
@@ -858,15 +854,12 @@ class TestFreshProcess:
         data = json.loads(path.read_text())
         data.update(N_factors=[[prime, 1], [3000000000121, 1]], primes=[prime], k=prime + 5)
         path.write_text(json.dumps(data))
-        run = subprocess.run(
-            [sys.executable, "-c", VERIFY_UNDER_ADDRESS_LIMIT, str(path)],
-            capture_output=True, text=True, env=fresh_process_env(), timeout=60,
-        )
-        assert run.returncode == 1, run.stderr
-        assert "Traceback" not in run.stderr
-        report = json.loads(run.stdout)
-        assert "budget" in report["reasons"]
-        assert report["computed_value"] is None
+        for _, run in _verify_under_limit(path):
+            assert run.returncode == 1, run.stderr
+            assert "Traceback" not in run.stderr
+            report = json.loads(run.stdout)
+            assert "budget" in report["reasons"]
+            assert report["computed_value"] is None
 
     def test_many_divisors_report_budget(self, capsys, tmp_path):
         # N holds the first 40 primes and k lies above 2**61: N has far more
@@ -881,23 +874,47 @@ class TestFreshProcess:
         data = json.loads(path.read_text())
         data.update(N_factors=[[p, 1] for p in primes], primes=[prime], k=prime + 5)
         path.write_text(json.dumps(data))
+        for seconds, run in _verify_under_limit(path):
+            assert seconds < 20
+            assert run.returncode == 1, run.stderr
+            assert "Traceback" not in run.stderr
+            report = json.loads(run.stdout)
+            assert report["pass"] is False
+            assert "budget" in report["reasons"]
+
+    def test_full_window_of_a_huge_prime_exits_cleanly(self, capsys, tmp_path):
+        # N keeps the old cluster, and the one prime left makes the window
+        # [p, 2p) about 10**12 wide: only one period of it is read
+        path = tmp_path / "cert.json"
+        run_cli(capsys, "hunt", "--m", "6", "--value", "2", "--mode", "c", "--out", str(path))
+        data = json.loads(path.read_text())
+        data.update(primes=[1099511627791])
+        path.write_text(json.dumps(data))
+        for _, run in _verify_under_limit(path):
+            assert run.returncode == 1, run.stderr
+            assert "Traceback" not in run.stderr
+            assert json.loads(run.stdout)["pass"] is False
+
+
+def _verify_under_limit(path: Path) -> list[tuple[float, subprocess.CompletedProcess]]:
+    """`verify` and then `verify --full-window` of the document, each in a
+    child under VERIFY_UNDER_ADDRESS_LIMIT, with the seconds each took."""
+    runs = []
+    for window in ((), ("--full-window",)):
         started = time.monotonic()
         run = subprocess.run(
-            [sys.executable, "-c", VERIFY_UNDER_ADDRESS_LIMIT, str(path)],
+            [sys.executable, "-c", VERIFY_UNDER_ADDRESS_LIMIT, str(path), *window],
             capture_output=True, text=True, env=fresh_process_env(), timeout=60,
         )
-        assert time.monotonic() - started < 20
-        assert run.returncode == 1, run.stderr
-        assert "Traceback" not in run.stderr
-        report = json.loads(run.stdout)
-        assert report["pass"] is False
-        assert "budget" in report["reasons"]
+        runs.append((time.monotonic() - started, run))
+    return runs
 
 
-# `verify` under the address-space limit of `ulimit -v 2000000`
+# `verify` under the address-space limit of `ulimit -v 2000000`, on the
+# document path and any further options given
 VERIFY_UNDER_ADDRESS_LIMIT = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2000000 * 1024, 2000000 * 1024))
 from cyclocert.cli import main
-sys.exit(main(["verify", sys.argv[1]]))
+sys.exit(main(["verify", *sys.argv[1:]]))
 """

@@ -22,14 +22,21 @@ from cyclocert.arith import (
 )
 from cyclocert.cyclo import c_table, inverse_phi_truncated, phi_poly, phi_truncated
 from cyclocert.errors import SearchBoundExceededError
+from oracles import whole_window_mismatches
 from cyclocert.hunter import (
+    DEFAULT_RATIO,
     REASON_CLUSTER,
+    REASON_COMPOSITION,
     REASON_CONGRUENCE,
+    REASON_COPRIMALITY,
+    REASON_KERNEL,
     REASON_LIFT,
+    REASON_PARITY,
     REASON_PRIMALITY,
     REASON_Q_BOUND,
     REASON_VALUE,
     REASON_WINDOW,
+    REASON_WINDOW_MISMATCH,
     Certificate,
     build_certificate,
     lift_to_modulus,
@@ -203,7 +210,8 @@ class TestPredictWindow:
         window = predict_window(cert)
         assert window[0] == 2  # k = p_t = 43
         assert window[1] == -3  # k = 44: c(3,44)=0, c(3,43)=-1, mu=-1, t=3
-        assert len(window) == 2 * 31 - 43
+        # one period: min(W, kernel) entries of the window W = 2*31 - 43
+        assert len(window) == min(2 * 31 - 43, 3) == 3
 
     def test_zero_at_dead_offsets(self):
         cert = build_certificate(15, 0, "a")
@@ -222,16 +230,66 @@ class TestPredictWindow:
     def test_full_window_of_a_wide_cluster(self):
         # kernel 30 times t = 200 primes = 1 (mod 30) in [T/2, T), T = 2*p_1:
         # every prime is a high divisor, seeded into the series, and the
-        # window is read from starts above, between and below them
+        # window is read from starts above, between and below them; the
+        # predicted period is tiled here, so every index of [p_t, 2*p_1) is
+        # compared
         for mode, expand in (("a", phi_truncated), ("c", inverse_phi_truncated)):
             cert = build_certificate(30, 200, mode)
             primes, truncation = cert.cluster.primes, cert.truncation
             assert len(primes) == 200 and 2 * primes[0] == truncation
-            window = predict_window(cert)
+            period = predict_window(cert)
             p_last = primes[-1]
+            width = truncation - p_last
+            assert len(period) == min(width, 30)
+            window = tuple(period[i % len(period)] for i in range(width))
             for start in (p_last, primes[100], 0):
                 got = expand(cert.N, truncation, start)
                 assert got[p_last - start :] == window, (mode, start)
+
+
+def _replace_plan(cert: Certificate, **fields) -> Certificate:
+    return replace(cert, plan=replace(cert.plan, **fields))
+
+
+def _with_prime(cert: Certificate, index: int, shift: int) -> Certificate:
+    primes = list(cert.cluster.primes)
+    primes[index] += shift
+    return replace(cert, cluster=replace(cert.cluster, primes=tuple(primes)))
+
+
+# single-field tampers of a hunted certificate, each scaled by j >= 1
+_TAMPERS = {
+    "none": lambda cert, j: cert,
+    "v": lambda cert, j: replace(cert, v=cert.v + j),
+    "k": lambda cert, j: replace(cert, k_kernel=cert.k_kernel + j),
+    "k_periods": lambda cert, j: replace(cert, k_kernel=cert.k_kernel + j * cert.plan.kernel),
+    "delta": lambda cert, j: _replace_plan(cert, delta=cert.plan.delta + j),
+    "t": lambda cert, j: _replace_plan(cert, t=cert.plan.t + j),
+    "mu": lambda cert, j: _replace_plan(cert, mu_kernel=-cert.plan.mu_kernel),
+    "kernel": lambda cert, j: _replace_plan(cert, kernel=cert.plan.kernel + j),
+    "cluster_n": lambda cert, j: replace(cert, cluster=replace(cert.cluster, n=cert.cluster.n - j)),
+    "primes_last": lambda cert, j: _with_prime(cert, -1, 2 * j * cert.plan.kernel),
+    "primes_first": lambda cert, j: _with_prime(cert, 0, -2 * j * cert.plan.kernel),
+    "primes_negated": lambda cert, j: _with_prime(cert, -1, -2 * cert.cluster.primes[-1]),
+    "q": lambda cert, j: replace(
+        cert, q=None if cert.q else next_prime_above(2 * cert.cluster.primes[0])
+    ),
+    "N_extra": lambda cert, j: replace(
+        cert, N=cert.N * factor(next_prime_above(cert.plan.kernel + j))
+    ),
+    "N_dropped": lambda cert, j: replace(cert, N=FactoredInteger(cert.N.factors[1:])),
+    "truncation": lambda cert, j: replace(cert, truncation=cert.truncation + j),
+    "stretch": lambda cert, j: replace(cert, stretch=cert.stretch + j),
+    "mode": lambda cert, j: replace(cert, mode="c" if cert.mode == "a" else "a"),
+    "ratio": lambda cert, j: replace(cert, ratio_num=cert.ratio_num - j),
+}
+
+# the checks that, when they all pass, pin N to kernel * p_1 ... p_t (* q)
+# with every p_i = 1 (mod kernel) and q > 2*p_1
+_STRUCTURAL = {
+    REASON_KERNEL, REASON_CLUSTER, REASON_CONGRUENCE, REASON_COMPOSITION, REASON_PARITY,
+    REASON_Q_BOUND, REASON_COPRIMALITY,
+}
 
 
 class TestVerifyCertificate:
@@ -338,6 +396,73 @@ class TestVerifyCertificate:
                     assert report.passed, (m, v, mode, report.reasons)
                     assert report.computed_value == v
                     assert report.window_checked
+
+    @pytest.mark.parametrize(
+        "m, v, mode, ratio",
+        [(3, 2, "a", DEFAULT_RATIO), (30, -7, "c", DEFAULT_RATIO), (210, 3, "a", DEFAULT_RATIO),
+         (6, 2000, "a", Fraction(33, 32))],
+    )
+    def test_full_window_makes_one_read_of_one_period(self, monkeypatch, m, v, mode, ratio):
+        cert = build_certificate(m, v, mode, ratio)
+        name = "phi_truncated" if mode == "a" else "inverse_phi_truncated"
+        expand = getattr(hunter, name)
+        reads = []
+
+        def counted(n, truncation, start, **kwargs):
+            reads.append((start, truncation))
+            return expand(n, truncation, start, **kwargs)
+
+        monkeypatch.setattr(hunter, name, counted)
+        report = verify_certificate(cert, full_window=True)
+        assert report.passed and report.window_checked
+        p_last, width = cert.cluster.primes[-1], cert.truncation - cert.cluster.primes[-1]
+        assert reads == [(p_last, p_last + min(width, cert.plan.kernel))]
+
+    def test_full_window_peak_memory_is_that_of_k_alone(self):
+        # W = 1,811,599 coefficients, against a kernel of 6
+        cert = build_certificate(6, 2000, "a", Fraction(33, 32))
+        assert cert.truncation - cert.cluster.primes[-1] > 10**6
+        verify_certificate(cert)  # leave nothing to the first call below
+        peaks = []
+        for full_window in (False, True):
+            tracemalloc.start()
+            try:
+                assert verify_certificate(cert, full_window).passed
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        plain, full = peaks
+        assert full <= 1.2 * plain + 64 * 1024, peaks
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 60),
+        st.integers(-20, 20),
+        st.sampled_from("ac"),
+        st.sampled_from(sorted(_TAMPERS)),
+        st.integers(1, 4),
+    )
+    @example(3, -1, "a", "primes_last", 1)  # composition, and the whole window mismatches
+    def test_one_period_decides_the_whole_window(self, m, v, mode, tamper, j):
+        cert = _TAMPERS[tamper](build_certificate(m, v, mode), j)
+        report = verify_certificate(cert, full_window=True)
+        mismatched = False
+        if report.window_checked:
+            plan, primes = cert.plan, cert.cluster.primes
+            expand = phi_truncated if cert.mode == "a" else inverse_phi_truncated
+            period = c_table(plan.kernel).period
+            mismatched = bool(
+                whole_window_mismatches(
+                    expand, cert.N, primes[0], primes[-1], period, plan.mu_kernel, plan.t
+                )
+            )
+        others = [r for r in report.reasons if r != REASON_WINDOW_MISMATCH]
+        # the rule of a whole-window comparison
+        assert report.passed == (not others and not mismatched), report.reasons
+        if not _STRUCTURAL & set(report.reasons):
+            assert (REASON_WINDOW_MISMATCH in report.reasons) == mismatched, report.reasons
+        if tamper == "none":
+            assert report.passed
 
     def test_value_tamper_rejected(self):
         cert = build_certificate(3, 2, "a")
@@ -452,21 +577,23 @@ class TestOnePeriodPerKernel:
 
 
 # verifies the pickled certificate on stdin with the address space capped at
-# 512 MB; argv[1] is the directory holding the package under test
+# 512 MB; argv[1] is the directory holding the package under test, and a
+# second argument asks for the full window
 VERIFY_UNDER_RLIMIT = """
 import pickle, resource, sys
 sys.path.insert(0, sys.argv[1])
 resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
 from cyclocert.hunter import verify_certificate
-report = verify_certificate(pickle.load(sys.stdin.buffer))
-print(report.passed, report.computed_value)
+report = verify_certificate(pickle.load(sys.stdin.buffer), len(sys.argv) > 2)
+print(report.passed, report.computed_value, report.window_checked)
 """
 
 
 class TestVerifyMemory:
     def test_huge_cluster_prime_verifies_in_bounded_memory(self):
         # t = 1 and p_1 > 10**12: the truncation k + 1 exceeds 10**12, so the
-        # coefficient must come from one period of 1/Phi_6, not a dense list
+        # coefficient must come from one period of 1/Phi_6, not a dense list;
+        # the window [p, 2p) is as wide, and one period of it decides it
         plan = plan_target(6, 1)
         assert plan.t == 1
         p = 10**12 + 3  # = 1 (mod 6)
@@ -480,12 +607,13 @@ class TestVerifyMemory:
             ratio_num=15, ratio_den=8,
         )
         src = str(Path(cyclocert.__file__).resolve().parent.parent)
-        child = subprocess.run(
-            [sys.executable, "-c", VERIFY_UNDER_RLIMIT, src],
-            input=pickle.dumps(cert), capture_output=True, timeout=120,
-        )
-        assert child.returncode == 0, child.stderr.decode()
-        assert child.stdout.decode().split() == ["True", "1"]
+        for window, checked in (((), "False"), (("full",), "True")):
+            child = subprocess.run(
+                [sys.executable, "-c", VERIFY_UNDER_RLIMIT, src, *window],
+                input=pickle.dumps(cert), capture_output=True, timeout=120,
+            )
+            assert child.returncode == 0, child.stderr.decode()
+            assert child.stdout.decode().split() == ["True", "1", checked]
 
 
 class TestModeDuality:
