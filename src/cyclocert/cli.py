@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import attrgetter
 
 from .arith import (
     DEFAULT_SCAN_CEILING,
@@ -42,34 +43,6 @@ from .hunter import (
 )
 
 SCHEMA_VERSION = "1"
-
-# (key, format) of each document field, in document order; serialize_document's
-# layout is exactly json.dumps(data, indent=2) + "\n" of these fields, then
-# "verification" when present, with the arrays joined at C speed instead of
-# walked by the indenting encoder
-_DOCUMENT_FIELDS = (
-    ("schema_version", "%s"),
-    ("mode", "%s"),
-    ("m", "%d"),
-    ("v", "%d"),
-    ("kernel", "%d"),
-    ("mu_kernel", "%d"),
-    ("t", "%d"),
-    ("delta", "%d"),
-    ("cluster_n", "%d"),
-    ("primes", "%s"),
-    ("q", "%s"),
-    ("N_factors", "%s"),
-    ("k", "%d"),
-    ("stretch", "%d"),
-    ("N_lifted_factors", "%s"),
-    ("k_lifted", "%d"),
-    ("truncation", "%d"),
-    ("ratio_num", "%d"),
-    ("ratio_den", "%d"),
-)
-_DOCUMENT_KEYS = tuple(key for key, _ in _DOCUMENT_FIELDS)
-_DOCUMENT_TEMPLATE = "{\n%s%%s\n}\n" % ",\n".join('  "%s": %s' % f for f in _DOCUMENT_FIELDS)
 _REPORT_KEYS = ("pass", "computed_value", "window_checked", "reasons")
 _REPORT_TEMPLATE = "{\n%s\n}" % ",\n".join('  "%s": %%s' % key for key in _REPORT_KEYS)
 _PAIR_TEMPLATE = "[\n      %d,\n      %d\n    ]"
@@ -108,41 +81,7 @@ def _report_object(report: VerificationReport, indent: str) -> str:
     return text.replace("\n", "\n" + indent)
 
 
-def serialize_document(document: CertificateDocument) -> str:
-    cert = document.certificate
-    plan = cert.plan
-    report = document.verification
-    verification = ""
-    if report is not None:
-        verification = ',\n  "verification": ' + _report_object(report, "  ")
-    return _DOCUMENT_TEMPLATE % (
-        json.dumps(SCHEMA_VERSION),
-        json.dumps(cert.mode),
-        cert.m_original,
-        cert.v,
-        plan.kernel,
-        plan.mu_kernel,
-        plan.t,
-        plan.delta,
-        cert.cluster.n,
-        _array(list(map(str, cert.cluster.primes)), "  "),
-        json.dumps(cert.q),
-        _factors_array(cert.N),
-        cert.k_kernel,
-        cert.stretch,
-        _factors_array(cert.N_lifted),
-        cert.k_lifted,
-        cert.truncation,
-        cert.ratio_num,
-        cert.ratio_den,
-        verification,
-    )
-
-
-def _require_int(
-    data: dict, key: str, minimum: int | None = None, bounded: bool = True
-) -> int:
-    value = data[key]
+def _require_int(value, key: str, minimum: int | None = None, bounded: bool = True) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise DocumentFormatError(f"field {key!r} must be an integer")
     if minimum is not None and value < minimum:
@@ -171,6 +110,91 @@ def _parse_factors(raw, key: str) -> FactoredInteger:
         raise DocumentFormatError(f"field {key!r}: {exc}") from exc
 
 
+def _read_schema_version(raw, key: str) -> str:
+    if raw != SCHEMA_VERSION:
+        raise DocumentFormatError(f"unsupported {key} {raw!r}")
+    return raw
+
+
+def _read_mode(raw, key: str) -> str:
+    if raw not in ("a", "c"):
+        raise DocumentFormatError(f"{key} must be 'a' or 'c', got {raw!r}")
+    return raw
+
+
+def _read_mu_kernel(raw, key: str) -> int:
+    if _require_int(raw, key) not in (-1, 1):
+        raise DocumentFormatError(f"{key} must be -1 or +1, got {raw}")
+    return raw
+
+
+def _read_primes(raw, key: str) -> tuple[int, ...]:
+    if not isinstance(raw, list) or not _ints_within(raw, 2):
+        raise DocumentFormatError(f"field {key!r} must be a non-empty list of integers >= 2")
+    return tuple(raw)
+
+
+def _read_q(raw, key: str) -> int | None:
+    if raw is not None and not _ints_within([raw], 2):
+        raise DocumentFormatError(f"field {key!r} must be null or an integer >= 2")
+    return raw
+
+
+# The document, one row per field in document order: its key, its layout in
+# the template, its value as written from a Certificate, and how it is read
+# back: the least value of a bounded 64-bit integer, None for the unbounded
+# v, or a reader taking (value, key).  Document order is the order of
+# Certificate's fields, with TargetPlan's (kernel to delta) and
+# PrimeCluster's (cluster_n, primes) in place of plan and cluster, so
+# parse_document builds all three from slices of the values read.
+# serialize_document's layout is exactly json.dumps(data, indent=2) + "\n" of
+# these fields, then "verification" when present, with the arrays joined at
+# C speed instead of walked by the indenting encoder.
+_DOCUMENT_FIELDS = (
+    ("schema_version", '"%s"', lambda cert: SCHEMA_VERSION, _read_schema_version),
+    ("mode", "%s", lambda cert: json.dumps(cert.mode), _read_mode),
+    ("m", "%d", attrgetter("m_original"), 1),
+    ("v", "%d", attrgetter("v"), None),
+    ("kernel", "%d", attrgetter("plan.kernel"), 2),
+    ("mu_kernel", "%d", attrgetter("plan.mu_kernel"), _read_mu_kernel),
+    ("t", "%d", attrgetter("plan.t"), 1),
+    ("delta", "%d", attrgetter("plan.delta"), 0),
+    ("cluster_n", "%d", attrgetter("cluster.n"), 1),
+    ("primes", "%s", lambda cert: _array(list(map(str, cert.cluster.primes)), "  "), _read_primes),
+    ("q", "%s", lambda cert: json.dumps(cert.q), _read_q),
+    ("N_factors", "%s", lambda cert: _factors_array(cert.N), _parse_factors),
+    ("k", "%d", attrgetter("k_kernel"), 0),
+    ("stretch", "%d", attrgetter("stretch"), 1),
+    ("N_lifted_factors", "%s", lambda cert: _factors_array(cert.N_lifted), _parse_factors),
+    ("k_lifted", "%d", attrgetter("k_lifted"), 0),
+    ("truncation", "%d", attrgetter("truncation"), 1),
+    ("ratio_num", "%d", attrgetter("ratio_num"), 1),
+    ("ratio_den", "%d", attrgetter("ratio_den"), 1),
+)
+_DOCUMENT_KEYS = tuple(row[0] for row in _DOCUMENT_FIELDS)
+_DOCUMENT_TEMPLATE = "{\n%s%%s\n}\n" % ",\n".join(
+    '  "%s": %s' % row[:2] for row in _DOCUMENT_FIELDS
+)
+
+
+def serialize_document(document: CertificateDocument) -> str:
+    cert = document.certificate
+    verification = ""
+    if document.verification is not None:
+        verification = ',\n  "verification": ' + _report_object(document.verification, "  ")
+    texts = [write(cert) for _, _, write, _ in _DOCUMENT_FIELDS]
+    return _DOCUMENT_TEMPLATE % (*texts, verification)
+
+
+def _check_keys(data: dict, required: tuple[str, ...], kind: str, optional: tuple = ()) -> None:
+    unknown = set(data).difference(required, optional)
+    if unknown:
+        raise DocumentFormatError(f"unknown {kind}fields: {sorted(unknown)}")
+    missing = set(required) - set(data)
+    if missing:
+        raise DocumentFormatError(f"missing {kind}fields: {sorted(missing)}")
+
+
 def parse_document(text: str) -> CertificateDocument:
     """Parse a certificate document, rejecting unknown or missing fields."""
     try:
@@ -183,73 +207,22 @@ def parse_document(text: str) -> CertificateDocument:
         raise DocumentFormatError("not a certificate: JSON nested too deeply") from exc
     if not isinstance(data, dict):
         raise DocumentFormatError("document must be a JSON object")
-    unknown = set(data) - set(_DOCUMENT_KEYS) - {"verification"}
-    if unknown:
-        raise DocumentFormatError(f"unknown fields: {sorted(unknown)}")
-    missing = set(_DOCUMENT_KEYS) - set(data)
-    if missing:
-        raise DocumentFormatError(f"missing fields: {sorted(missing)}")
-
-    if data["schema_version"] != SCHEMA_VERSION:
-        raise DocumentFormatError(f"unsupported schema_version {data['schema_version']!r}")
-    mode = data["mode"]
-    if mode not in ("a", "c"):
-        raise DocumentFormatError(f"mode must be 'a' or 'c', got {mode!r}")
-    m = _require_int(data, "m", 1)
-    v = _require_int(data, "v", bounded=False)
-    kernel = _require_int(data, "kernel", 2)
-    mu_kernel = _require_int(data, "mu_kernel")
-    if mu_kernel not in (-1, 1):
-        raise DocumentFormatError(f"mu_kernel must be -1 or +1, got {mu_kernel}")
-    t = _require_int(data, "t", 1)
-    delta = _require_int(data, "delta", 0)
-    cluster_n = _require_int(data, "cluster_n", 1)
-    raw_primes = data["primes"]
-    if not isinstance(raw_primes, list) or not _ints_within(raw_primes, 2):
-        raise DocumentFormatError("field 'primes' must be a non-empty list of integers >= 2")
-    q = data["q"]
-    if q is not None and not _ints_within([q], 2):
-        raise DocumentFormatError("field 'q' must be null or an integer >= 2")
-    n_factored = _parse_factors(data["N_factors"], "N_factors")
-    k = _require_int(data, "k", 0)
-    stretch = _require_int(data, "stretch", 1)
-    n_lifted = _parse_factors(data["N_lifted_factors"], "N_lifted_factors")
-    k_lifted = _require_int(data, "k_lifted", 0)
-    truncation = _require_int(data, "truncation", 1)
-    ratio_num = _require_int(data, "ratio_num", 1)
-    ratio_den = _require_int(data, "ratio_den", 1)
-
-    plan = TargetPlan(
-        kernel=kernel, mu_kernel=mu_kernel, t=t, delta=delta, predicted_value=v
-    )
-    certificate = Certificate(
-        mode=mode,
-        m_original=m,
-        v=v,
-        plan=plan,
-        cluster=PrimeCluster(n=cluster_n, primes=tuple(raw_primes)),
-        q=q,
-        N=n_factored,
-        k_kernel=k,
-        stretch=stretch,
-        N_lifted=n_lifted,
-        k_lifted=k_lifted,
-        truncation=truncation,
-        ratio_num=ratio_num,
-        ratio_den=ratio_den,
-    )
+    _check_keys(data, _DOCUMENT_KEYS, "", ("verification",))
+    values = [
+        read(data[key], key) if callable(read)
+        else _require_int(data[key], key, read, bounded=read is not None)
+        for key, _, _, read in _DOCUMENT_FIELDS
+    ]
+    plan = TargetPlan(*values[4:8], predicted_value=values[3])
+    cluster = PrimeCluster(*values[8:10])
+    certificate = Certificate(*values[1:4], plan, cluster, *values[10:])
 
     verification: VerificationReport | None = None
-    if "verification" in data and data["verification"] is not None:
-        raw = data["verification"]
+    raw = data.get("verification")
+    if raw is not None:
         if not isinstance(raw, dict):
             raise DocumentFormatError("field 'verification' must be an object or null")
-        extra = set(raw) - set(_REPORT_KEYS)
-        if extra:
-            raise DocumentFormatError(f"unknown verification fields: {sorted(extra)}")
-        lacking = set(_REPORT_KEYS) - set(raw)
-        if lacking:
-            raise DocumentFormatError(f"missing verification fields: {sorted(lacking)}")
+        _check_keys(raw, _REPORT_KEYS, "verification ")
         if not isinstance(raw["pass"], bool) or not isinstance(raw["window_checked"], bool):
             raise DocumentFormatError("verification 'pass' and 'window_checked' must be booleans")
         computed = raw["computed_value"]

@@ -54,7 +54,7 @@ from .cyclo import (
     inverse_phi_truncated,
     phi_truncated,
 )
-from .errors import ArithmeticOverflowError, DegreeBudgetExceededError
+from .errors import ArithmeticOverflowError, DegreeBudgetExceededError, MACHINE_INT_MAX
 
 DEFAULT_RATIO = Fraction(15, 8)
 
@@ -134,6 +134,19 @@ class VerificationReport:
     reasons: tuple[str, ...] = ()
 
 
+def _window_identity(
+    period: tuple[int, ...], step: int, delta: int, count: int = 1
+) -> tuple[int, ...]:
+    """c(K, 1 + d) - step * c(K, d) for d = delta, ..., delta + count - 1,
+    residues mod K = len(period), with step = mu(K) * t: the window
+    identity's value at offset d."""
+    kernel = len(period)
+    return tuple(
+        period[(d + 1) % kernel] - step * period[d % kernel]
+        for d in range(delta, delta + count)
+    )
+
+
 def plan_target(m: int, v: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> TargetPlan:
     """Choose the smallest t >= 1 (ties: smallest delta) whose window hits v.
 
@@ -167,7 +180,7 @@ def plan_target(m: int, v: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -
     # the zero window c(K, deg + 1) = 0 (phi(K) >= 2), so the offsets 0 and
     # deg give t = 1 - mu*v and t = mu*v.  Either way one of the two is >= 1.
     t, delta = best
-    predicted = period[(delta + 1) % kernel] - mu * t * period[delta]
+    (predicted,) = _window_identity(period, mu * t, delta)
     assert predicted == v
     return TargetPlan(kernel, mu, t, delta, predicted)
 
@@ -284,13 +297,11 @@ def predict_window(
     """
     plan = certificate.plan
     period = c_table(plan.kernel, degree_budget=degree_budget).period
-    kernel, step = plan.kernel, plan.mu_kernel * plan.t
     p_first = certificate.cluster.primes[0]
     p_last = certificate.cluster.primes[-1]
     width = max(0, 2 * p_first - p_last)
-    return tuple(
-        period[k % kernel] - step * period[(k - 1) % kernel]
-        for k in range(p_last, p_last + min(width, kernel))
+    return _window_identity(
+        period, plan.mu_kernel * plan.t, p_last - 1, min(width, plan.kernel)
     )
 
 
@@ -366,17 +377,17 @@ def verify_certificate(
     if not 0 < den < num < 2 * den:
         flag(REASON_RATIO)
 
-    # kernel: rad(m), or 2 for m = 1 (which delegates to 2), so squarefree
-    m_fac = factor(certificate.m_original)
-    true_kernel = radical(m_fac).value()
-    kernel_fac: FactoredInteger | None = None
-    if kernel >= 2:
-        kernel_fac = factor(kernel)
-        if kernel != (2 if certificate.m_original == 1 else true_kernel):
-            flag(REASON_KERNEL)
-        if mobius(kernel_fac) != plan.mu_kernel:
-            flag(REASON_KERNEL)
-    else:
+    # kernel: rad(m), or 2 for m = 1 (which delegates to 2), so squarefree;
+    # an m outside [1, 2**63) or a kernel outside [2, 2**63) is not factored
+    m = certificate.m_original
+    m_fac = factor(m) if 1 <= m <= MACHINE_INT_MAX else None
+    true_kernel = None if m_fac is None else radical(m_fac).value()
+    kernel_fac = factor(kernel) if 2 <= kernel <= MACHINE_INT_MAX else None
+    if (
+        kernel_fac is None
+        or kernel != (2 if m == 1 else true_kernel)
+        or mobius(kernel_fac) != plan.mu_kernel
+    ):
         flag(REASON_KERNEL)
 
     # cluster shape and interval bounds
@@ -406,6 +417,9 @@ def verify_certificate(
     if certificate.q is not None and certificate.q <= 2 * p_first:
         flag(REASON_Q_BOUND)
 
+    # N = 1 is not expanded: the product form needs N > 1
+    if certificate.N.is_one:
+        flag(REASON_COMPOSITION)
     if kernel_fac is not None:
         kernel_primes = set(kernel_fac.primes())
         if kernel_primes & set(primes) or certificate.q in kernel_primes:
@@ -423,15 +437,14 @@ def verify_certificate(
         flag(REASON_PLAN)
     if not 0 <= plan.delta < max(kernel, 1) or t < 1:
         flag(REASON_PLAN)
-    elif kernel >= 2:
+    elif kernel_fac is not None:
         try:
             period = c_table(kernel, degree_budget=degree_budget).period
         except DegreeBudgetExceededError:
             flag(REASON_PLAN)
         else:
-            c_at = period[plan.delta % kernel]
-            c_next = period[(plan.delta + 1) % kernel]
-            if c_at == 0 or c_next - plan.mu_kernel * t * c_at != plan.predicted_value:
+            predicted = _window_identity(period, plan.mu_kernel * t, plan.delta)
+            if period[plan.delta] == 0 or predicted != (plan.predicted_value,):
                 flag(REASON_PLAN)
 
     if not p_last <= certificate.k_kernel < 2 * p_first:
@@ -440,11 +453,12 @@ def verify_certificate(
         flag(REASON_TRUNCATION)
 
     # lift arithmetic back to m; the stretch is factored only if it is m // rad(m)
-    if certificate.stretch != certificate.m_original // true_kernel:
-        flag(REASON_LIFT)
-    elif lift_to_modulus(certificate) != (certificate.N_lifted, certificate.k_lifted):
-        flag(REASON_LIFT)
-    if not m_fac.divides(certificate.N_lifted):
+    if (
+        true_kernel is None
+        or certificate.stretch != m // true_kernel
+        or lift_to_modulus(certificate) != (certificate.N_lifted, certificate.k_lifted)
+        or not m_fac.divides(certificate.N_lifted)
+    ):
         flag(REASON_LIFT)
 
     # the independent recomputation: the truncated divisor product over N
@@ -452,6 +466,8 @@ def verify_certificate(
     expand = phi_truncated if mode_a else inverse_phi_truncated
 
     def read(start: int, stop: int) -> tuple[int, ...] | None:
+        if certificate.N.is_one:
+            return None
         try:
             return expand(certificate.N, stop, start, degree_budget=degree_budget)
         except ArithmeticOverflowError:

@@ -86,6 +86,14 @@ def document_fields(draw) -> dict:
     return fields
 
 
+@lru_cache(maxsize=None)
+def _pinned_text() -> str:
+    """A hunted document, with its report, whose fields the message tests
+    replace one at a time."""
+    cert = build_certificate(6, 2, "a")
+    return serialize_document(CertificateDocument(cert, verify_certificate(cert)))
+
+
 class TestDocumentFormat:
     def test_roundtrip_without_verification(self):
         cert = build_certificate(15, -2, "c")
@@ -128,6 +136,80 @@ class TestDocumentFormat:
             data[key] = value
             with pytest.raises(DocumentFormatError):
                 parse_document(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            *[
+                case
+                for key, least in (
+                    ("m", 1), ("kernel", 2), ("t", 1), ("delta", 0), ("cluster_n", 1),
+                    ("k", 0), ("stretch", 1), ("k_lifted", 0), ("truncation", 1),
+                    ("ratio_num", 1), ("ratio_den", 1),
+                )
+                for case in (
+                    (key, "x", f"field '{key}' must be an integer"),
+                    (key, True, f"field '{key}' must be an integer"),
+                    (key, least - 1, f"field '{key}' must be >= {least}, got {least - 1}"),
+                    (key, 2**63, f"field '{key}' exceeds the 64-bit range"),
+                )
+            ],
+            ("v", "x", "field 'v' must be an integer"),
+            ("v", False, "field 'v' must be an integer"),
+            ("schema_version", "2", "unsupported schema_version '2'"),
+            ("mode", "b", "mode must be 'a' or 'c', got 'b'"),
+            ("mu_kernel", "x", "field 'mu_kernel' must be an integer"),
+            ("mu_kernel", 2**63, "field 'mu_kernel' exceeds the 64-bit range"),
+            ("mu_kernel", 0, "mu_kernel must be -1 or +1, got 0"),
+            *[
+                ("primes", value, "field 'primes' must be a non-empty list of integers >= 2")
+                for value in ([], [1], "x")
+            ],
+            ("q", 1, "field 'q' must be null or an integer >= 2"),
+            ("q", "x", "field 'q' must be null or an integer >= 2"),
+            *[
+                case
+                for key in ("N_factors", "N_lifted_factors")
+                for case in (
+                    (key, [], f"field '{key}' must be a non-empty list of [prime, exponent]"),
+                    (key, [[2, 0]], f"field '{key}' entries must be [prime, exponent] pairs"),
+                    (
+                        key,
+                        [[3, 1], [2, 1]],
+                        f"field '{key}': prime entries must be strictly increasing, got 2 after 3",
+                    ),
+                )
+            ],
+        ],
+    )
+    def test_each_field_has_its_own_message(self, key, value, message):
+        data = json.loads(_pinned_text())
+        data[key] = value
+        with pytest.raises(DocumentFormatError) as info:
+            parse_document(json.dumps(data))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda data: data.pop("truncation"), "missing fields: ['truncation']"),
+            (lambda data: data.update(comment="x"), "unknown fields: ['comment']"),
+            (
+                lambda data: data["verification"].pop("reasons"),
+                "missing verification fields: ['reasons']",
+            ),
+            (
+                lambda data: data["verification"].update(note="x"),
+                "unknown verification fields: ['note']",
+            ),
+        ],
+    )
+    def test_key_set_messages(self, edit, message):
+        data = json.loads(_pinned_text())
+        edit(data)
+        with pytest.raises(DocumentFormatError) as info:
+            parse_document(json.dumps(data))
+        assert str(info.value) == message
 
     def test_not_json(self):
         with pytest.raises(DocumentFormatError):

@@ -522,6 +522,32 @@ class TestVerifyCertificate:
         assert not report.passed
         assert REASON_CLUSTER in report.reasons
 
+    @pytest.mark.parametrize("full_window", [False, True])
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            *[
+                ("m_original", m, {REASON_KERNEL, REASON_LIFT})
+                for m in (-(2**70), -1, 0, 2**63, 2**70)
+            ],
+            *[("kernel", kernel, {REASON_KERNEL}) for kernel in (2**63, 2**70)],
+            ("N", FactoredInteger(()), {REASON_COMPOSITION, REASON_VALUE}),
+        ],
+    )
+    def test_out_of_range_fields_are_flagged_not_raised(self, field, value, expected, full_window):
+        # "failures never raise": values that parse_document bounds, but that a
+        # certificate built through the API may carry
+        cert = build_certificate(6, 2, "a")
+        if field == "kernel":
+            bad = replace(cert, plan=replace(cert.plan, kernel=value))
+        else:
+            bad = replace(cert, **{field: value})
+        report = verify_certificate(bad, full_window=full_window)
+        assert not report.passed
+        assert expected <= set(report.reasons), report.reasons
+        if field == "N":
+            assert report.computed_value is None and not report.window_checked
+
     def test_shifted_k_reports_computed_value(self):
         cert = build_certificate(3, 2, "a")
         shifted = replace(cert, k_kernel=cert.k_kernel + 1, k_lifted=cert.k_lifted + 1)

@@ -44,6 +44,28 @@ def test_runtime_imports_are_standard_library_only():
     assert outside == []
 
 
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ re-exports what it imports, so it is left out; every other
+    # module must read each name it imports (no linter runs on the package)
+    package = Path(cyclocert.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, line, name) for name, line in imported.items() if name not in used]
+    assert unused == []
+
 # runs coeff, scan and hunt through cli.main and prints the exit codes, then
 # the top-level names of the modules loaded since the interpreter started;
 # argv[1] is the directory holding the package under test
@@ -91,6 +113,14 @@ def test_readme_lists_every_reason_code():
     assert len(codes) == len(set(codes))
     assert set(codes) == constants
 
+
+
+def test_readme_lists_every_document_field_in_order():
+    # the table under "Certificate documents" names exactly cli's fields
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Certificate documents", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+    assert tuple(listed) == cli._DOCUMENT_KEYS
 
 def test_readme_lists_every_environment_override():
     # the CYCLO_* variables named under "Environment overrides" are exactly
