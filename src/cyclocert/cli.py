@@ -26,6 +26,7 @@ from .arith import (
     DEFAULT_SCAN_CEILING,
     FactoredInteger,
     PrimeCluster,
+    _class_primes,
     euler_phi,
     factor,
     radical,
@@ -351,6 +352,33 @@ def _phi_prefix(
     return coeffs
 
 
+# a count of odd primes plus one, where 3 stands for three or more
+_COUNT_UP = bytes(min(count + 1, 3) for count in range(256))
+# multipliers _odd_prime_counts sieves at most, so its memory stays bounded
+# under any budget from the environment
+_SCAN_SIEVE_LIMIT = 1 << 20
+
+
+def _odd_prime_counts(m: int, size: int) -> bytes:
+    """Entry j, 1 <= j < size, is the number of odd primes of m*j, or 3 for
+    three or more; empty when size < 2 or m alone has three.
+
+    One sieve over the multipliers: each odd prime r < size that does not
+    divide m adds one to the entries of its multiples, at C speed.  It
+    holds size bytes, and cmd_scan keeps size within _SCAN_SIEVE_LIMIT + 1.
+    """
+    if size < 2:
+        return b""
+    own = sum(p > 2 for p, _ in factor(m).factors)
+    if own >= 3:
+        return b""
+    counts = bytearray([own]) * size
+    for r in _class_primes(1, 2, size - 1):
+        if m % r:
+            counts[r::r] = counts[r::r].translate(_COUNT_UP)
+    return bytes(counts)
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     # n gets the budget checks of coeff a around the factor(n) that the skip
     # rules read.  phi_poly(n) builds Phi_n(x) = Phi_rad(n)(x**s), s = n /
@@ -361,19 +389,29 @@ def cmd_scan(args: argparse.Namespace) -> int:
     # - n is not squarefree, m | rad(n) and 0 has been seen: rad(n) = m*j'
     #   with j' < n/m was scanned, and Phi_n's first kmax + 1 coefficients
     #   are zeros and a(rad(n), i) for i <= kmax.
+    # Up to n = budget the budget checks cannot fail, as phi(n) <= n, so an
+    # n there with at most two odd primes (B = 1), counted by one sieve over
+    # the multipliers, is skipped unfactored once [-1, 1] has been seen.
     # Under --kmax only a(n, 0..kmax) are read (see _phi_prefix).
     budget = _env_degree_budget()
+    m = args.m
+    sieved = b""
+    if m >= 1:
+        sieved = _odd_prime_counts(m, min(args.nmax, budget // m, _SCAN_SIEVE_LIMIT) + 1)
     first_seen: dict[int, tuple[int, int]] = {}
+    covered = -1  # the largest c such that every value in [-c, c] has been seen
     for multiplier in range(1, args.nmax + 1):
-        n = args.m * multiplier
+        if covered >= 1 and multiplier < len(sieved) and sieved[multiplier] <= 2:
+            continue
+        n = m * multiplier
         _check_degree_budget(n, budget)
         fac = factor(n)
         _check_phi_budget(fac, budget)
         bound = _height_bound(fac)
-        if bound is not None and all(v in first_seen for v in range(-bound, bound + 1)):
+        if bound is not None and covered >= bound:
             continue
         rad = radical(fac)
-        if rad.value() < n and rad.value() % args.m == 0 and 0 in first_seen:
+        if rad.value() < n and rad.value() % m == 0 and 0 in first_seen:
             continue
         coeffs = _phi_prefix(n, rad, args.kmax, budget)
         new = set(coeffs).difference(first_seen)
@@ -382,6 +420,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
             first = dict(zip(reversed(coeffs), range(len(coeffs) - 1, -1, -1)))
             for value in new:
                 first_seen[value] = (n, first[value])
+            while covered + 1 in first_seen and -covered - 1 in first_seen:
+                covered += 1
     rows = [(value, n, k) for value, (n, k) in sorted(first_seen.items())]
     if args.json:
         print(json.dumps([{"value": v, "n": n, "k": k} for v, n, k in rows]))

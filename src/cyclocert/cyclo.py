@@ -134,25 +134,54 @@ def _mobius_unit_divisors(
 
 
 def _dense_product(
-    truncation: int, start: int, low: list[tuple[int, int]], high: list[tuple[int, int]]
+    truncation: int,
+    start: int,
+    low: list[tuple[int, int]],
+    high: list[tuple[int, int]],
+    prime: int,
 ) -> tuple[int, ...]:
     """Coefficients start..truncation-1 of the product of (1 - x**d)**e over
     the (d, e) of low and high, modulo x**truncation, stepped in one packed
-    series (see series).
+    series (see series); prime is the largest prime of n.
 
     A high factor (2d >= truncation) is 1 - e * x**d modulo x**truncation
     and any product of two of them vanishes, so their product is 1 - sum of
     e * x**d: each is seeded into the starting series as the term -e at
     index d, at O(1).  The factors commute, so the low ones are then applied
-    to that series, all of them multiplications first: that keeps the
-    partial products near the size of the result instead of letting the
-    running sums of the divisions grow first.  Each step is range checked,
-    seeded terms included.
+    to that series.  A division by 1 - x**d whose partner p*d (p = prime)
+    is a multiplication, low or high, makes with it one geometric sum
+    (1 - x**(p*d)) / (1 - x**d) = 1 + x**d + ... + x**((p-1)*d), stepped
+    as one multiplication wherever that takes fewer passes than the division.
+    For squarefree n = K*p, e_(p*d) = -e_d for every d | K, so every
+    division at a d | K with p*d below the truncation can pair: up to half
+    of all the divisions, and those at the smallest d, the dearest.  The
+    steps run as multiplications by 1 - x**d, then geometric sums, then
+    divisions: that keeps the partial products near the size of the result
+    instead of letting the running sums of the divisions grow first.  Each
+    step is range checked, seeded terms included.
     """
+    signs = dict(low + high)
+    paired: set[int] = set()
+    geometric = []
+    for d, sign in low:
+        if sign == -1 and signs.get(prime * d) == 1:
+            # floor(log2 q) + popcount(q) - 1 passes for the q terms below
+            # the truncation, against a division's one doubling per s = d,
+            # 2d, 4d, ... below it
+            terms = min(prime, (truncation - 1) // d + 1)
+            if terms.bit_length() + terms.bit_count() - 2 < ((truncation - 1) // d).bit_length():
+                geometric.append(d)
+                paired.update((d, prime * d))
     # distinct high d give distinct indices, so every entry is 0 or +-1
-    dense = TruncatedSeries.seeded(truncation, high)
-    for d, sign in sorted(low, key=lambda step: (-step[1], step[0])):
-        dense.apply_one_minus_power(d, sign)
+    dense = TruncatedSeries.seeded(truncation, [step for step in high if step[0] not in paired])
+    for d, sign in low:
+        if sign == 1 and d not in paired:
+            dense.apply_one_minus_power(d, 1)
+    for d in geometric:
+        dense.apply_geometric_sum(d, prime)
+    for d, sign in low:
+        if sign == -1 and d not in paired:
+            dense.apply_one_minus_power(d, -1)
     return dense.suffix(start)
 
 
@@ -211,7 +240,12 @@ def _periodic_tail(
 
 
 def _truncated_product(
-    n: FactoredInteger, truncation: int, start: int, exponent: int, degree_budget: int
+    n: FactoredInteger,
+    truncation: int,
+    start: int,
+    exponent: int,
+    degree_budget: int,
+    divisor_limit: int | None,
 ) -> tuple[int, ...]:
     """Coefficients start..truncation-1 of the product of (1 - x**d)**e_d,
     e_d = exponent * mu(n/d), over the divisors d of n below the truncation.
@@ -230,11 +264,14 @@ def _truncated_product(
       plus O(#residues * K + #high + (truncation - start)), and holds
       O(K + truncation - start), independent of the truncation itself.
     - Dense: otherwise (any other N, and the exact-polynomial builds), the
-      seeded product of _dense_product, O(#low) steps of O(truncation) each
-      plus O(#high), holding one packed series of the truncation's
-      coefficients plus the returned tuple.  A truncation above
-      degree_budget raises DegreeBudgetExceededError before anything of that
-      size is allocated.
+      seeded product of _dense_product, O(#low) steps of a few O(truncation)
+      passes each plus O(#high), holding one packed series of the
+      truncation's coefficients (two during a geometric sum) plus the
+      returned tuple.  A truncation above degree_budget raises
+      DegreeBudgetExceededError before anything of that size is allocated.
+
+    The divisors are listed under a limit of degree_budget + omega(n), or
+    divisor_limit where that is smaller.
     """
     if n.is_one:
         raise ValueError("the Mobius product form requires n > 1")
@@ -242,7 +279,10 @@ def _truncated_product(
         raise ValueError(f"start must lie in [0, {truncation}), got {start}")
     # a valid certificate's N has at most K <= degree_budget divisors below
     # the truncation from its kernel K, plus one per cluster prime
-    steps = sorted(_mobius_unit_divisors(n, truncation - 1, degree_budget + len(n.factors)))
+    limit = degree_budget + len(n.factors)
+    if divisor_limit is not None:
+        limit = min(limit, divisor_limit)
+    steps = sorted(_mobius_unit_divisors(n, truncation - 1, limit))
     if exponent != 1:
         steps = [(d, exponent * mu) for d, mu in steps]
     # sorted by d, so the low ones (2d < truncation) come first
@@ -261,7 +301,7 @@ def _truncated_product(
         raise DegreeBudgetExceededError(
             f"dense truncation {truncation} exceeds degree budget {degree_budget}"
         )
-    return _dense_product(truncation, start, steps[:split], steps[split:])
+    return _dense_product(truncation, start, steps[:split], steps[split:], n.factors[-1][0])
 
 
 def phi_truncated(
@@ -270,6 +310,7 @@ def phi_truncated(
     start: int = 0,
     *,
     degree_budget: int = DEFAULT_DEGREE_BUDGET,
+    divisor_limit: int | None = None,
 ) -> tuple[int, ...]:
     """Phi_n mod x**truncation for factored n > 1, from coefficient `start` on.
 
@@ -283,20 +324,26 @@ def phi_truncated(
     result is tiled from one period of length K, read from c_table's memo:
     O(#div(K) * K) to build it on a miss, plus O(#residues mod K * K +
     #high + (truncation - start)) time, and O(K + truncation - start)
-    memory.  Otherwise the dense product costs O(#low * truncation +
-    #high), never governed by n itself, and holds one packed series of the
-    truncation's coefficients plus the returned tuple; it raises
-    DegreeBudgetExceededError, before it allocates, when the truncation
-    exceeds degree_budget.  Either route raises it once more than
-    degree_budget + omega(n) divisors with squarefree cofactor lie below
-    the truncation, so a hostile n with a huge truncation stops there.
+    memory.  Otherwise the dense product costs O(passes * truncation +
+    #high), never governed by n itself: a multiplication by 1 - x**d is
+    one pass and a division about log2(truncation/d), and a division at d
+    whose partner p*d (p the largest prime of n) is a multiplication folds
+    with it into one geometric sum of floor(log2 p) + popcount(p) - 1
+    passes, where that is fewer (see _dense_product).  It holds one packed
+    series of the truncation's coefficients, two during a geometric sum,
+    plus the returned tuple; it raises DegreeBudgetExceededError, before it
+    allocates, when the truncation exceeds degree_budget.  Either route
+    raises it once more than degree_budget + omega(n) divisors with
+    squarefree cofactor lie below the truncation, or more than
+    divisor_limit where that is smaller, so a hostile n with a huge
+    truncation stops there.
     Both routes raise ArithmeticOverflowError when a coefficient leaves the
     64-bit range: on the dense route, any coefficient of the product after
     any step (checked only where a carried magnitude bound does not prove
     it); on the periodic route, any coefficient of the period of 1/Phi_K or
     any returned coefficient.
     """
-    return _truncated_product(n, truncation, start, 1, degree_budget)
+    return _truncated_product(n, truncation, start, 1, degree_budget, divisor_limit)
 
 
 def inverse_phi_truncated(
@@ -305,11 +352,12 @@ def inverse_phi_truncated(
     start: int = 0,
     *,
     degree_budget: int = DEFAULT_DEGREE_BUDGET,
+    divisor_limit: int | None = None,
 ) -> tuple[int, ...]:
     """1/Phi_n mod x**truncation: the same divisor product, exponents negated,
     returned as the same tuple of coefficients start..truncation-1, under
     the same budget."""
-    return _truncated_product(n, truncation, start, -1, degree_budget)
+    return _truncated_product(n, truncation, start, -1, degree_budget, divisor_limit)
 
 
 def _half_product(fac: FactoredInteger, degree: int, exponent: int) -> tuple[int, ...]:
@@ -384,8 +432,10 @@ def c_table(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> InverseCoe
 
     For n > 1 the truncated divisor product runs only to (n - phi(n))/2 and
     the anti-palindrome of Psi_n supplies the rest (see _half_product), so
-    a table costs O((n - phi(n))/2) per divisor d of n below (n - phi(n))/4,
-    plus O(n).  Tables are cached, a bounded number of them.
+    a table costs a few passes of O((n - phi(n))/2) per divisor d of n
+    below (n - phi(n))/4, one geometric sum in place of each division
+    whose partner p*d is a multiplication (see phi_truncated), plus O(n).
+    Tables are cached, a bounded number of them.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")

@@ -352,8 +352,9 @@ def verify_certificate(
     through t.  Any other N (a tampered one) takes the dense route,
     O(#low * truncation + t).  A "budget" reason means that nothing was
     expanded: the dense route's truncation exceeded degree_budget, or N
-    has more than degree_budget + omega(N) divisors below the truncation
-    (a valid certificate has at most #div(kernel) + t).  An "overflow"
+    has more divisors with squarefree cofactor below the truncation than
+    degree_budget + omega(N), or than the 2**omega(kernel) + t of a valid
+    certificate (the kernel's and the cluster primes).  An "overflow"
     reason means that a coefficient of the period of 1/Phi_kernel or one
     read (periodic route), or of the product after any step (dense route),
     left the signed 64-bit range.
@@ -462,14 +463,24 @@ def verify_certificate(
         flag(REASON_LIFT)
 
     # the independent recomputation: the truncated divisor product over N
-    # alone, expanded only as far as the coefficients read below
+    # alone, expanded only as far as the coefficients read below.  Below
+    # 2*p_1 a valid N has exactly 2**omega(kernel) + t divisors with
+    # squarefree cofactor, the kernel's and the t = len(primes) cluster
+    # primes (each p_i * d with d >= 2, and q, lie above), so an N with more
+    # is not expanded; the kernel is rad(m), or 2 for m = 1, whatever the
+    # document's kernel field says
     expand = phi_truncated if mode_a else inverse_phi_truncated
+    divisor_limit = None
+    if m_fac is not None:
+        divisor_limit = 2 ** max(len(m_fac.factors), 1) + len(primes)
 
     def read(start: int, stop: int) -> tuple[int, ...] | None:
         if certificate.N.is_one:
             return None
         try:
-            return expand(certificate.N, stop, start, degree_budget=degree_budget)
+            return expand(
+                certificate.N, stop, start, degree_budget=degree_budget, divisor_limit=divisor_limit
+            )
         except ArithmeticOverflowError:
             flag(REASON_OVERFLOW)
         except DegreeBudgetExceededError:

@@ -11,26 +11,33 @@ from Z[x]/(x**T) to Z/2**(b*T), so every step below is exact modulo
 2**(b*T) whatever the limbs hold in the middle of it.  The coefficients are
 read back exactly when every c_i lies in [-2**(b-1), 2**(b-1)): adding
 2**(b-1) to every limb of P then leaves the b-bit limbs c_i + 2**(b-1),
-free of carries.  Its one operation, apply_one_minus_power, multiplies or
-divides by a binomial 1 - x**d in a few big-integer shifts and adds that
-run in C:
+free of carries.  Its two operations multiply or divide by a binomial
+1 - x**d, or multiply by a geometric sum 1 + x**d + ... + x**((q-1)*d),
+in a few big-integer shifts and adds that run in C:
 
-- multiplication is P - (P mod 2**(b*(T-d))) * 2**(b*d);
-- division is the product of 1 + x**s over s = d, 2d, 4d, ... below T,
-  ceil(log2(T/d)) doublings P += (P mod 2**(b*(T-s))) * 2**(b*s).
+- multiplication by 1 - x**d is P - (P mod 2**(b*(T-d))) * 2**(b*d);
+- division by it is the product of 1 + x**s over s = d, 2d, 4d, ... below
+  T, ceil(log2(T/d)) doublings P += (P mod 2**(b*(T-s))) * 2**(b*s);
+- multiplication by the geometric sum S_q, with q first cut to the
+  floor((T-1)/d) + 1 terms below x**T, reads q's bits from the top:
+  S_2k = S_k * (1 + x**(k*d)) is one doubling of the running product R,
+  and S_2k+1 = 1 + x**d * S_2k is one shift of R added to P, so it takes
+  floor(log2 q) + popcount(q) - 1 passes.  It holds P and R at once, one
+  full-width copy more than a division.
 
 A proven bound B >= max |c_i| is carried from step to step: a
-multiplication at most doubles it, a division multiplies it by the number
-of terms of a running sum, floor((T-1)/d) + 1.  Before a step whose output
-bound could reach 2**(b-1), B is tightened without decoding, by a C-speed
-test of whether every c_i lies in [-2**(k-1), 2**(k-1)) (_fits), and the
-limbs move, by copying bytes, to the narrowest width that the tightened
-bound allows.  Where that bound leaves the signed 64-bit range the step
+multiplication by 1 - x**d at most doubles it, a division or a geometric
+sum multiplies it by its number of terms below x**T, floor((T-1)/d) + 1
+or min(q, floor((T-1)/d) + 1).  Before a step whose output bound could
+reach 2**(b-1), B is tightened without decoding, by a C-speed test of
+whether every c_i lies in [-2**(k-1), 2**(k-1)) (_fits), and the limbs
+move, by copying bytes, to the narrowest width that the tightened bound
+allows.  Where that bound leaves the signed 64-bit range the step
 runs on 128-bit limbs and its output is then checked:
 ArithmeticOverflowError is raised exactly when a coefficient leaves the
 range, so the fixed-width policy fails loudly instead of growing silently,
 and otherwise the limbs narrow back to 64 bits and B drops to the exact
-maximum.  Truncated cyclotomic products call it only for divisors with
+maximum.  Truncated cyclotomic products step it only for divisors with
 2d < T (see cyclo).
 """
 
@@ -58,8 +65,8 @@ class TruncatedSeries:
     integer and updated in place.
 
     bound is at least the largest |coefficient|; it chooses the limb width
-    and lets apply_one_minus_power skip its range checks.  coeffs decodes
-    the coefficients into a new list.
+    and lets the steps skip their range checks.  coeffs decodes the
+    coefficients into a new list.
     """
 
     __slots__ = ("packed", "width", "truncation", "bound")
@@ -122,10 +129,7 @@ class TruncatedSeries:
         t = self.truncation
         if d >= t:
             return
-        growth = 2 if sign == 1 else (t - 1) // d + 1
-        bound = self.bound * growth
-        if bound >> (self.width - 1):
-            bound = self._make_room(growth)
+        bound = self._room_for(2 if sign == 1 else (t - 1) // d + 1)
         b = self.width
         p, self.packed = self.packed, 0  # so that the step holds one copy of P
         shifts = [d]
@@ -139,6 +143,52 @@ class TruncatedSeries:
                 p -= (p - ((p >> keep) << keep)) << (b * s)
             else:
                 p += (p - ((p >> keep) << keep)) << (b * s)
+        self._store(p, bound)
+
+    def apply_geometric_sum(self, d: int, q: int) -> None:
+        """Multiply the series by 1 + x**d + ... + x**((q-1)*d), in place.
+
+        Only the min(q, floor((T-1)/d) + 1) terms below x**T act, so that is
+        the bound's growth, and the step takes floor(log2 q) + popcount(q) - 1
+        passes for that q (see the module docstring).  The limbs widen and
+        the result is checked as in apply_one_minus_power.
+        """
+        if d < 1:
+            raise ValueError(f"exponent d must be at least 1, got {d}")
+        if q < 1:
+            raise ValueError(f"term count q must be at least 1, got {q}")
+        t = self.truncation
+        q = min(q, (t - 1) // d + 1)
+        if q == 1:
+            return
+        bound = self._room_for(q)
+        b = self.width
+        p, self.packed = self.packed, 0
+        r, k = p, 1  # r is P times the sum of the first k terms
+        for bit in bin(q)[3:]:
+            # k*d < T, since (q - 1)*d < T and 2k <= q
+            keep = b * (t - k * d)
+            r += (r - ((r >> keep) << keep)) << (b * k * d)
+            k *= 2
+            if bit == "1":
+                keep = b * (t - d)
+                r = p + ((r - ((r >> keep) << keep)) << (b * d))
+                k += 1
+        del p
+        self._store(r, bound)
+
+    def _room_for(self, growth: int) -> int:
+        """The bound on the output of a step that multiplies the bound by
+        `growth`, with the limbs first made room for it (see _make_room)."""
+        bound = self.bound * growth
+        if bound >> (self.width - 1):
+            bound = self._make_room(growth)
+        return bound
+
+    def _store(self, p: int, bound: int) -> None:
+        """Keep a step's output P modulo 2**(b*T), checked and narrowed when
+        it ran on 128-bit limbs, with its bound."""
+        b, t = self.width, self.truncation
         self.packed = p - ((p >> (b * t)) << (b * t))
         if b == 128:
             bound = self._narrow_checked()

@@ -107,6 +107,16 @@ def one_minus_power_loop(coeffs: list[int], d: int, sign: int) -> list[int]:
     return out
 
 
+def geometric_sum_loop(coeffs: list[int], d: int, q: int) -> list[int]:
+    """coeffs times 1 + x**d + ... + x**((q-1)*d), truncated, one term at a
+    time."""
+    out = [0] * len(coeffs)
+    for i, c in enumerate(coeffs):
+        for j in range(i, min(len(out), i + q * d), d):
+            out[j] += c
+    return out
+
+
 def divisor_product(n: int, order: int, exponent: int) -> list[int]:
     """prod over d | n, d < order, of (1 - x**d)**(exponent * mu(n/d)),
     truncated, one factor at a time with no split into low and high d."""
@@ -222,3 +232,52 @@ def whole_window_mismatches(expand, n, p_first, p_last, period, mu, t) -> list[i
         for k, got in enumerate(expansion, p_last)
         if got != period[k % kernel] - mu * t * period[(k - 1) % kernel]
     ]
+
+
+def _odd_height_bound(odd: list[int]) -> int | None:
+    """The proven bound on |a(n, k)| from n's odd primes, ascending: 1 for
+    at most two (Migotti), q1 - ceil(q1/4) for three (Bachman), else None."""
+    if len(odd) <= 2:
+        return 1
+    if len(odd) == 3:
+        return odd[0] - (odd[0] + 3) // 4
+    return None
+
+
+def scan_by_factoring(m: int, nmax: int, kmax: int | None, coefficients) -> list[list[int]]:
+    """The rows [value, n, k] of `scan --m m --nmax nmax [--kmax kmax]`,
+    each value with its first (n, k), by the per-n loop that factors every
+    n = m*j by trial division.  n is skipped when its height bound B leaves
+    no value unseen (all of [-B, B] seen), or when it is not squarefree,
+    m divides rad(n) and 0 has been seen; otherwise a(n, 0..kmax) are read
+    from coefficients(n), all of Phi_n's coefficients."""
+    first_seen: dict[int, tuple[int, int]] = {}
+    for j in range(1, nmax + 1):
+        n = m * j
+        primes = [p for p, _ in trial_factor(n)]
+        bound = _odd_height_bound([p for p in primes if p > 2])
+        if bound is not None and all(v in first_seen for v in range(-bound, bound + 1)):
+            continue
+        rad = 1
+        for p in primes:
+            rad *= p
+        if rad < n and rad % m == 0 and 0 in first_seen:
+            continue
+        coeffs = list(coefficients(n))
+        if kmax is not None:
+            coeffs = coeffs[: max(kmax + 1, 0)]
+        for k, value in enumerate(coeffs):
+            first_seen.setdefault(value, (n, k))
+    return [[value, n, k] for value, (n, k) in sorted(first_seen.items())]
+
+
+def first_over_budget(m: int, nmax: int, budget: int) -> int | None:
+    """The first n = m*j, j <= nmax, with phi(n) above the budget."""
+    for j in range(1, nmax + 1):
+        n = m * j
+        phi = n
+        for p, _ in trial_factor(n):
+            phi = phi // p * (p - 1)
+        if phi > budget:
+            return n
+    return None

@@ -26,7 +26,9 @@ from cyclocert.errors import MACHINE_INT_MAX, DocumentFormatError
 from cyclocert.hunter import VerificationReport, build_certificate, verify_certificate
 from oracles import (
     cyclotomic_by_division,
+    first_over_budget,
     report_fields,
+    scan_by_factoring,
     serialize_document_by_dumps,
     trial_factor,
 )
@@ -838,6 +840,85 @@ class TestScanCommand:
         assert code == 2 and "budget" in err
 
 
+def _scan_rows(capsys, m: int, nmax: int, kmax: int | None = None) -> list[list[int]]:
+    argv = ["scan", "--m", str(m), "--nmax", str(nmax), "--json"]
+    if kmax is not None:
+        argv += ["--kmax", str(kmax)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    return [[row["value"], row["n"], row["k"]] for row in json.loads(out)]
+
+
+def _phi_coeffs(n: int) -> tuple[int, ...]:
+    return cyclo.phi_poly(n).coeffs
+
+
+class TestScanSieve:
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 7, 12, 15, 30, 105, 210])
+    @pytest.mark.parametrize("nmax", [1, 37, 300])
+    @pytest.mark.parametrize("kmax", [None, 0, 5, 40])
+    def test_same_rows_as_factoring_every_n(self, capsys, m, nmax, kmax):
+        expected = scan_by_factoring(m, nmax, kmax, _phi_coeffs)
+        assert _scan_rows(capsys, m, nmax, kmax) == expected
+
+    @pytest.mark.parametrize("m", [1, 2, 15, 77, 105, 4096])
+    def test_odd_prime_counts(self, m):
+        counts = cli._odd_prime_counts(m, 500)
+        expected = [min(sum(p > 2 for p, _ in trial_factor(m * j)), 3) for j in range(1, 500)]
+        if expected[0] >= 3:
+            assert counts == b""  # m alone has three odd primes: nothing to skip
+        else:
+            assert list(counts[1:]) == expected
+        assert cli._odd_prime_counts(m, 1) == b""
+
+    def test_sieved_n_are_not_factored(self, capsys, monkeypatch):
+        # once -1, 0 and 1 are seen (at n = 4), only an n with three or more
+        # odd primes is factored: every other n has height bound 1
+        factored = []
+        factor = cli.factor
+
+        def recorded(n):
+            factored.append(n)
+            return factor(n)
+
+        monkeypatch.setattr(cli, "factor", recorded)
+        assert run_cli(capsys, "scan", "--m", "1", "--nmax", "4000")[0] == 0
+        expected = [
+            n for n in range(1, 4001)
+            if n <= 4 or sum(p > 2 for p, _ in trial_factor(n)) >= 3
+        ]
+        assert factored[0] == 1  # the sieve's own factor(m)
+        assert factored[1:] == expected
+
+    @pytest.mark.parametrize("budget", [0, 1, 50, 500])
+    @pytest.mark.parametrize("m", [1, 6, 11, 105])
+    def test_a_small_budget_fails_at_the_same_n(self, capsys, monkeypatch, budget, m):
+        monkeypatch.setenv("CYCLO_DEGREE_BUDGET", str(budget))
+        code, out, err = run_cli(capsys, "scan", "--m", str(m), "--nmax", "3000")
+        n = first_over_budget(m, 3000, budget)
+        if budget == 0:
+            message = "degree budget 0 is not positive"
+        elif n > 2 * budget * budget:  # rejected before factoring
+            message = f"phi({n}) certainly exceeds budget {budget}"
+        else:
+            message = f"phi({n}) exceeds degree budget {budget}"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("m, budget, nmax", [(6, 1000, 200), (30, 300, 30), (35, 700, 25)])
+    def test_n_past_the_budget_edge_are_factored(self, capsys, monkeypatch, m, budget, nmax):
+        # the sieve covers m*j <= budget; past that every n takes the
+        # factoring path, and phi(n) <= budget holds for all of these n
+        assert first_over_budget(m, nmax, budget) is None
+        monkeypatch.setenv("CYCLO_DEGREE_BUDGET", str(budget))
+        assert _scan_rows(capsys, m, nmax) == scan_by_factoring(m, nmax, None, _phi_coeffs)
+
+    @pytest.mark.parametrize("limit", [1, 2, 50])
+    def test_n_past_the_sieve_limit_are_factored(self, capsys, monkeypatch, limit):
+        monkeypatch.setattr(cli, "_SCAN_SIEVE_LIMIT", limit)
+        assert _scan_rows(capsys, 1, 300) == scan_by_factoring(1, 300, None, _phi_coeffs)
+        assert _scan_rows(capsys, 2, 300, 5) == scan_by_factoring(2, 300, 5, _phi_coeffs)
+
+
 def test_bench_is_not_a_command():
     with pytest.raises(SystemExit) as info:
         main(["bench", "--n", "105"])
@@ -964,6 +1045,32 @@ class TestFreshProcess:
             assert report["pass"] is False
             assert "budget" in report["reasons"]
 
+    def test_many_divisors_stop_at_the_certificate_count(self, capsys, tmp_path):
+        # the 40-prime N of the test above: below 2*p_1 a valid N for m = 6
+        # has 2**2 + t divisors with squarefree cofactor, so the read stops
+        # after five of them instead of listing about 10**6
+        path = tmp_path / "cert.json"
+        run_cli(capsys, "hunt", "--m", "6", "--value", "2", "--mode", "c", "--out", str(path))
+        primes = [2]
+        while len(primes) < 40:
+            primes.append(next_prime_above(primes[-1]))
+        prime = next_prime_above(2**61)
+        data = json.loads(path.read_text())
+        data.update(N_factors=[[p, 1] for p in primes], primes=[prime], k=prime + 5)
+        path.write_text(json.dumps(data))
+        for window in ((), ("--full-window",)):
+            started = time.monotonic()
+            run = subprocess.run(
+                [sys.executable, "-c", VERIFY_REPORTING_PEAK, str(path), *window],
+                capture_output=True, text=True, env=fresh_process_env(), timeout=60,
+            )
+            assert time.monotonic() - started < 2
+            assert run.returncode == 1, run.stderr
+            assert int(run.stderr) < 64 * 1024  # ru_maxrss, in KB
+            report = json.loads(run.stdout)
+            assert "budget" in report["reasons"]
+            assert report["computed_value"] is None
+
     def test_full_window_of_a_huge_prime_exits_cleanly(self, capsys, tmp_path):
         # N keeps the old cluster, and the one prime left makes the window
         # [p, 2p) about 10**12 wide: only one period of it is read
@@ -999,4 +1106,15 @@ import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2000000 * 1024, 2000000 * 1024))
 from cyclocert.cli import main
 sys.exit(main(["verify", *sys.argv[1:]]))
+"""
+
+
+# `verify` on the document path and any further options given, then the
+# child's peak resident set (ru_maxrss, KB on Linux) on stderr
+VERIFY_REPORTING_PEAK = """
+import resource, sys
+from cyclocert.cli import main
+code = main(["verify", *sys.argv[1:]])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
 """

@@ -18,6 +18,8 @@ from cyclocert.cyclo import (
 from cyclocert.errors import DegreeBudgetExceededError
 from cyclocert.series import TruncatedSeries
 
+from passes import counting_passes
+
 from oracles import (
     cyclotomic_by_division,
     divisor_product,
@@ -461,6 +463,77 @@ class TestPhiTruncated:
         assert len(cyclo._mobius_unit_divisors(n, 1999, 25)) == 25
         with pytest.raises(DegreeBudgetExceededError):
             cyclo._mobius_unit_divisors(n, 1999, 24)
+
+    def test_divisor_limit_lowers_the_budget_limit(self):
+        # the same 25 divisors: a limit below them stops the enumeration, one
+        # above the budget's own does not raise it
+        primes = [p for p in sieve_primes(1999) if p > 1000][:21]
+        n = factor(6) * FactoredInteger(tuple((p, 1) for p in primes))
+        expected = phi_truncated(n, 2000, 1999)
+        assert phi_truncated(n, 2000, 1999, divisor_limit=25) == expected
+        with pytest.raises(DegreeBudgetExceededError):
+            phi_truncated(n, 2000, 1999, divisor_limit=24)
+        with pytest.raises(DegreeBudgetExceededError):
+            inverse_phi_truncated(n, 2000, 1999, divisor_limit=24)
+        with pytest.raises(DegreeBudgetExceededError):
+            phi_truncated(n, 2000, 1999, degree_budget=1, divisor_limit=10**6)
+
+
+class TestPairedSteps:
+    """A division by 1 - x**d whose partner p*d is a multiplication (p the
+    largest prime of n) is one geometric sum in the dense product."""
+
+    @pytest.mark.parametrize(
+        "build, n, passes, parent_passes",
+        [(c_table, 30030, 173, 243), (phi_poly, 85085, 81, 121)],
+    )
+    def test_pass_totals(self, monkeypatch, build, n, passes, parent_passes):
+        # a clock-free guard: the full-width passes of a cold build, pinned
+        # (parent_passes is the count with every division stepped alone)
+        cyclo._c_table_cached.cache_clear()
+        cyclo._phi_poly_cached.cache_clear()
+        with counting_passes(monkeypatch) as totals:
+            build(n)
+        assert totals["passes"] == passes < parent_passes
+        assert totals["apply_geometric_sum"] > 0
+
+    @pytest.mark.parametrize(
+        "n", [30030, 4 * 9 * 5 * 7 * 11, 2 * 3 * 5 * 7 * 13**2, 3 * 5 * 7 * 11 * 13]
+    )
+    @pytest.mark.parametrize("truncation", [50, 500, 3000])
+    def test_paired_products_against_divisor_product(self, monkeypatch, n, truncation):
+        # non-squarefree n pair only where d and p*d have squarefree cofactors
+        geometric = 0
+        for expand, exponent in ((phi_truncated, 1), (inverse_phi_truncated, -1)):
+            with counting_passes(monkeypatch) as totals:
+                got = expand(factor(n), truncation)
+            geometric += totals["apply_geometric_sum"]
+            assert list(got) == divisor_product(n, truncation, exponent), expand
+        assert geometric > 0 or truncation == 50
+
+    @pytest.mark.parametrize("start", [0, 2**16])
+    @pytest.mark.parametrize(
+        "expand, n", [(phi_truncated, 30030), (inverse_phi_truncated, 2 * 3 * 5 * 7 * 11 * 13**2)]
+    )
+    def test_peak_of_a_paired_build(self, monkeypatch, expand, n, start):
+        # a geometric sum holds P and its running product at once, one copy
+        # more than a division: at 16-bit limbs that still leaves the peak
+        # within TestOneList's bound, and near 1.6 * 8 * T measured
+        truncation = 2**17
+        with counting_passes(monkeypatch) as totals:
+            expand(factor(n), truncation, start)
+        assert totals["apply_geometric_sum"] > 0
+        result, peak = TestOneList.traced_peak(expand, factor(n), truncation, start)
+        assert peak <= 2 * 8 * truncation
+        assert len(result) == truncation - start
+
+    def test_no_pairing_where_it_saves_no_pass(self, monkeypatch):
+        # at n = 30 * 32771 and T = 2**17 the only pair is (1, 32771): a
+        # geometric sum of 32771 terms takes 15 + 3 - 1 = 17 passes, as many
+        # as the division by 1 - x it would replace
+        with counting_passes(monkeypatch) as totals:
+            inverse_phi_truncated(factor(30 * 32771), 2**17)
+        assert totals["apply_geometric_sum"] == 0
 
 
 class TestStartOffset:

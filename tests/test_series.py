@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from cyclocert.errors import ArithmeticOverflowError
 from cyclocert.series import TruncatedSeries
 
-from oracles import mul_series, one_minus_power_loop
+from oracles import geometric_sum_loop, mul_series, one_minus_power_loop
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=64)
 
@@ -177,3 +177,116 @@ class TestPackedSeries:
         a = TruncatedSeries.seeded(6, [(3, 1), (5, -1)])
         assert (a.coeffs, a.bound, a.width) == ([1, 0, 0, -1, 0, 1], 1, 16)
         assert a.suffix(3) == (-1, 0, 1)
+
+
+class TestApplyGeometricSum:
+    def test_steps_in_place(self):
+        a = series(1, 0, 0, 0, 0)
+        assert a.apply_geometric_sum(2, 2) is None
+        assert a.coeffs == [1, 0, 1, 0, 0]
+        assert a.apply_geometric_sum(1, 3) is None
+        assert a.coeffs == [1, 1, 2, 1, 1]
+
+    def test_equals_the_binomial_pair(self):
+        # 1 + x**d + ... + x**((q-1)*d) = (1 - x**(q*d)) / (1 - x**d)
+        coeffs = [3, -1, 4, 1, -5, 9, 2, -6, 5, 3, -5, 8]
+        for d, q in [(1, 2), (1, 5), (2, 3), (3, 17), (5, 2)]:
+            paired = stepped(series(*coeffs), (q * d, 1), (d, -1))
+            single = series(*coeffs)
+            single.apply_geometric_sum(d, q)
+            assert single.coeffs == paired, (d, q)
+
+    def test_terms_beyond_the_truncation_are_dropped(self):
+        # q*d >= T: only floor((T-1)/d) + 1 terms act, the bound grows by that
+        a = series(1, 0, 0, 0, 0, 0, 0)
+        a.apply_geometric_sum(3, 100)
+        assert (a.coeffs, a.bound) == ([1, 0, 0, 1, 0, 0, 1], 3)
+
+    @pytest.mark.parametrize("d, q", [(1, 1), (7, 5), (9, 2)])
+    def test_identity(self, d, q):
+        # one term, or d at or beyond the truncation
+        a = series(4, -1, 2, 0, 0, 0, 7)
+        a.apply_geometric_sum(d, q)
+        assert (a.coeffs, a.bound) == ([4, -1, 2, 0, 0, 0, 7], 7)
+
+    @pytest.mark.parametrize("d, q, growth", [(1, 5, 5), (2, 3, 3), (2, 100, 5), (4, 7, 3)])
+    def test_bound_grows_by_the_terms_below_the_truncation(self, d, q, growth):
+        # min(q, floor((T-1)/d) + 1) at T = 10, with no tightening at 16 bits
+        a = series(2, -1, 0, 0, 0, 0, 0, 0, 0, 1)
+        a.apply_geometric_sum(d, q)
+        assert a.bound == 2 * growth
+        assert max(map(abs, a.coeffs)) <= a.bound
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            series(1, 0).apply_geometric_sum(0, 2)
+        with pytest.raises(ValueError):
+            series(1, 0).apply_geometric_sum(1, 0)
+
+    @given(
+        st.lists(wide_coeffs, min_size=1, max_size=80),
+        st.integers(min_value=1, max_value=90),
+        st.integers(min_value=1, max_value=200),
+    )
+    def test_matches_the_loop(self, coeffs, d, q):
+        # q*d reaches past T for many draws; an output outside the 64-bit
+        # range raises, and otherwise the step is exact
+        got = TruncatedSeries(list(coeffs), max(map(abs, coeffs)))
+        exact = geometric_sum_loop(coeffs, d, q)
+        if max(map(abs, exact)) > MAX:
+            with pytest.raises(ArithmeticOverflowError):
+                got.apply_geometric_sum(d, q)
+            return
+        got.apply_geometric_sum(d, q)
+        assert got.coeffs == exact
+        assert max(map(abs, exact)) <= got.bound < 2 ** (got.width - 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 63, 4096, 6000])
+    @pytest.mark.parametrize("q", [2, 3, 17, 32771])
+    def test_long_series_match_the_loop(self, d, q):
+        rng = random.Random(d * q)
+        coeffs = [rng.randint(-3, 3) for _ in range(3 * 4096 + 17)]
+        got = series(*coeffs)
+        got.apply_geometric_sum(d, q)
+        assert got.coeffs == geometric_sum_loop(coeffs, d, q)
+
+    @pytest.mark.parametrize("edge, width", [(15, 32), (31, 64)])
+    def test_widens_across_a_limb_edge(self, edge, width):
+        # three terms of 2**(edge-1) - 1 sum past the limb's range
+        top = 2 ** (edge - 1) - 1
+        a = series(top, top, top, 0)
+        assert a.width == edge + 1
+        a.apply_geometric_sum(1, 3)
+        assert a.coeffs == [top, 2 * top, 3 * top, 2 * top]
+        assert a.width == width
+
+    def test_minus_two_to_the_63_is_out_of_range(self):
+        half = 2**62
+        with pytest.raises(ArithmeticOverflowError):
+            series(-half, -half, 0).apply_geometric_sum(1, 2)
+        a = series(MAX, -MAX, 0)
+        a.apply_geometric_sum(1, 2)
+        assert (a.coeffs, a.bound, a.width) == ([MAX, 0, -MAX], MAX, 64)
+
+    def test_overflow_raised_at_the_first_step_out_of_range(self):
+        # geometric sums of 3 and 5 terms with multiplications by 1 - x
+        # between them leave the 64-bit range only many steps in
+        got = series(1, *[0] * 95)
+        exact = list(got.coeffs)
+        chain = [("g", 1, 3), ("g", 2, 5), ("m", 1, 1), ("g", 3, 3)] * 40
+        for index, (kind, d, arg) in enumerate(chain):
+            if kind == "g":
+                exact = geometric_sum_loop(exact, d, arg)
+            else:
+                exact = one_minus_power_loop(exact, d, arg)
+            step = got.apply_geometric_sum if kind == "g" else got.apply_one_minus_power
+            if max(abs(c) for c in exact) > MAX:
+                with pytest.raises(ArithmeticOverflowError):
+                    step(d, arg)
+                break
+            step(d, arg)
+            assert got.coeffs == exact
+            assert got.bound >= max(abs(c) for c in exact)
+        else:
+            pytest.fail("the chain never left the 64-bit range")
+        assert index > 20
