@@ -32,7 +32,7 @@ from .arith import (
     radical,
 )
 from .cyclo import DEFAULT_DEGREE_BUDGET, a_coeff, c_coeff, phi_poly, phi_truncated
-from .cyclo import _check_degree_budget, _check_phi_budget
+from .cyclo import _factor_within_budget
 from .errors import CycloError, DocumentFormatError, MACHINE_INT_MAX
 from .hunter import (
     DEFAULT_RATIO,
@@ -380,8 +380,8 @@ def _odd_prime_counts(m: int, size: int) -> bytes:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    # n gets the budget checks of coeff a around the factor(n) that the skip
-    # rules read.  phi_poly(n) builds Phi_n(x) = Phi_rad(n)(x**s), s = n /
+    # n is factored by _factor_within_budget, where the budget checks of coeff
+    # a live.  phi_poly(n) builds Phi_n(x) = Phi_rad(n)(x**s), s = n /
     # rad(n), from the cached Phi_rad(n), so n is skipped, after its budget
     # check, when it cannot add a value:
     # - every value in [-B, B] has been seen, B = _height_bound(n): Phi_n's
@@ -389,8 +389,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     # - n is not squarefree, m | rad(n) and 0 has been seen: rad(n) = m*j'
     #   with j' < n/m was scanned, and Phi_n's first kmax + 1 coefficients
     #   are zeros and a(rad(n), i) for i <= kmax.
-    # Up to n = budget the budget checks cannot fail, as phi(n) <= n, so an
-    # n there with at most two odd primes (B = 1), counted by one sieve over
+    # Up to n = budget the budget checks cannot fail (see there), so an n
+    # there with at most two odd primes (B = 1), counted by one sieve over
     # the multipliers, is skipped unfactored once [-1, 1] has been seen.
     # Under --kmax only a(n, 0..kmax) are read (see _phi_prefix).
     budget = _env_degree_budget()
@@ -404,9 +404,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         if covered >= 1 and multiplier < len(sieved) and sieved[multiplier] <= 2:
             continue
         n = m * multiplier
-        _check_degree_budget(n, budget)
-        fac = factor(n)
-        _check_phi_budget(fac, budget)
+        fac = _factor_within_budget(n, budget)
         bound = _height_bound(fac)
         if bound is not None and covered >= bound:
             continue

@@ -65,23 +65,6 @@ class InverseCoefficientTable:
         return self.period[k % self.n]
 
 
-def _check_degree_budget(n: int, degree_budget: int) -> None:
-    """The budget checks on n that come before factoring it."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if degree_budget < 1:
-        raise DegreeBudgetExceededError(f"degree budget {degree_budget} is not positive")
-    # phi(n) >= sqrt(n/2) for every n, so huge n can be rejected unfactored
-    if n > 2 * degree_budget * degree_budget:
-        raise DegreeBudgetExceededError(f"phi({n}) certainly exceeds budget {degree_budget}")
-
-
-def _check_phi_budget(fac: FactoredInteger, degree_budget: int) -> None:
-    """The budget check on n once it is factored: phi(n) within the budget."""
-    if euler_phi(fac) > degree_budget:
-        raise DegreeBudgetExceededError(f"phi({fac.value()}) exceeds degree budget {degree_budget}")
-
-
 def _mobius_unit_divisors(
     n: FactoredInteger, bound: int, limit: int | None = None
 ) -> list[tuple[int, int]]:
@@ -389,10 +372,22 @@ def _phi_poly_cached(fac: FactoredInteger) -> CyclotomicPoly:
 
 
 def _factor_within_budget(n: int, degree_budget: int) -> FactoredInteger:
-    """factor(n), once n is known positive and phi(n) within the budget."""
-    _check_degree_budget(n, degree_budget)
+    """factor(n), once n is known positive and phi(n) within the budget.
+
+    The one budget-checked factorization of n, for phi_poly, a_coeff and
+    scan.  phi(n) <= n, so no n with 1 <= n <= degree_budget fails here:
+    scan relies on that to skip such n unfactored.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if degree_budget < 1:
+        raise DegreeBudgetExceededError(f"degree budget {degree_budget} is not positive")
+    # phi(n) >= sqrt(n/2) for every n, so huge n can be rejected unfactored
+    if n > 2 * degree_budget * degree_budget:
+        raise DegreeBudgetExceededError(f"phi({n}) certainly exceeds budget {degree_budget}")
     fac = factor(n)
-    _check_phi_budget(fac, degree_budget)
+    if euler_phi(fac) > degree_budget:
+        raise DegreeBudgetExceededError(f"phi({n}) exceeds degree budget {degree_budget}")
     return fac
 
 

@@ -211,7 +211,8 @@ def build_certificate(
     """Run the full construction for (m, v) and return the certificate.
 
     m = 1 is delegated to m = 2, since every multiple of 2 is a multiple
-    of 1; the returned certificate keeps m_original = 1.
+    of 1; the returned certificate keeps m_original = 1.  The m = 2
+    certificate already has stretch 1, N_lifted = N and k_lifted = k.
     """
     if mode not in (MODE_A, MODE_C):
         raise ValueError(f"mode must be '{MODE_A}' or '{MODE_C}', got {mode!r}")
@@ -223,7 +224,7 @@ def build_certificate(
         inner = build_certificate(
             2, v, mode, ratio, scan_ceiling=scan_ceiling, degree_budget=degree_budget
         )
-        return replace(inner, m_original=1, stretch=1, N_lifted=inner.N, k_lifted=inner.k_kernel)
+        return replace(inner, m_original=1)
 
     plan = plan_target(m, v, degree_budget=degree_budget)
     kernel_fac = radical(factor(m))

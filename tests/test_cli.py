@@ -875,13 +875,17 @@ class TestScanSieve:
         # once -1, 0 and 1 are seen (at n = 4), only an n with three or more
         # odd primes is factored: every other n has height bound 1
         factored = []
-        factor = cli.factor
 
-        def recorded(n):
-            factored.append(n)
-            return factor(n)
+        def recorded(function):
+            def call(n, *budget):
+                factored.append(n)
+                return function(n, *budget)
+            return call
 
-        monkeypatch.setattr(cli, "factor", recorded)
+        # the sieve factors m with factor, the loop each n it reads with
+        # _factor_within_budget
+        monkeypatch.setattr(cli, "factor", recorded(cli.factor))
+        monkeypatch.setattr(cli, "_factor_within_budget", recorded(cli._factor_within_budget))
         assert run_cli(capsys, "scan", "--m", "1", "--nmax", "4000")[0] == 0
         expected = [
             n for n in range(1, 4001)
@@ -1059,14 +1063,14 @@ class TestFreshProcess:
         data.update(N_factors=[[p, 1] for p in primes], primes=[prime], k=prime + 5)
         path.write_text(json.dumps(data))
         for window in ((), ("--full-window",)):
-            started = time.monotonic()
             run = subprocess.run(
                 [sys.executable, "-c", VERIFY_REPORTING_PEAK, str(path), *window],
                 capture_output=True, text=True, env=fresh_process_env(), timeout=60,
             )
-            assert time.monotonic() - started < 2
             assert run.returncode == 1, run.stderr
-            assert int(run.stderr) < 64 * 1024  # ru_maxrss, in KB
+            peak, cpu_seconds = run.stderr.split()
+            assert int(peak) < 64 * 1024  # VmHWM, in KB
+            assert float(cpu_seconds) < 2
             report = json.loads(run.stdout)
             assert "budget" in report["reasons"]
             assert report["computed_value"] is None
@@ -1079,6 +1083,52 @@ class TestFreshProcess:
         data = json.loads(path.read_text())
         data.update(primes=[1099511627791])
         path.write_text(json.dumps(data))
+        for _, run in _verify_under_limit(path):
+            assert run.returncode == 1, run.stderr
+            assert "Traceback" not in run.stderr
+            assert json.loads(run.stdout)["pass"] is False
+
+    # two documents whose period of 1/Phi_K nothing budgets: a verifier that
+    # reads only the residues it needs should report them cleanly
+    @pytest.mark.parametrize("t", [
+        1,
+        pytest.param(4, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="a period of 1/Phi_K is built whole, whatever K")),
+    ])
+    def test_unbudgeted_low_kernel_period_exits_cleanly(self, capsys, tmp_path, t):
+        # every divisor of N is low and together they make 1/Phi_6p, so the
+        # periodic route asks for a period of length 6p, about 6 * 10**12;
+        # with one cluster prime the read stops at 2**2 + 1 of N's eight
+        # divisors and reports `budget`, with four all eight are read
+        path = tmp_path / "cert.json"
+        run_cli(capsys, "hunt", "--m", "6", "--value", "2", "--mode", "c", "--out", str(path))
+        primes = [10000000000037]
+        while len(primes) < t:
+            primes.append(next_prime_above(primes[-1]))
+        data = json.loads(path.read_text())
+        data.update(primes=primes, k=15 * 10**12,
+                    N_factors=[[2, 1], [3, 1], [1000000000039, 1]])
+        path.write_text(json.dumps(data))
+        self._assert_clean_failures(path)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a period of 1/Phi_K is built whole, whatever K")
+    def test_unbudgeted_high_kernel_period_exits_cleanly(self, capsys, tmp_path):
+        # below k + 1 the divisors of N = P * c are 1, P and c; the low ones,
+        # 1 and P, make 1/Phi_P, whose half product is one entry long but
+        # whose zeros window holds P - 2 entries
+        path = tmp_path / "cert.json"
+        run_cli(capsys, "hunt", "--m", "6", "--value", "2", "--mode", "a", "--out", str(path))
+        low, high = next_prime_above(10**12), next_prime_above(3 * 10**12)
+        data = json.loads(path.read_text())
+        del data["verification"]
+        data.update(N_factors=[[low, 1], [high, 1]], primes=[high], k=high + 5)
+        path.write_text(json.dumps(data))
+        self._assert_clean_failures(path)
+
+    @staticmethod
+    def _assert_clean_failures(path: Path) -> None:
         for _, run in _verify_under_limit(path):
             assert run.returncode == 1, run.stderr
             assert "Traceback" not in run.stderr
@@ -1110,11 +1160,16 @@ sys.exit(main(["verify", *sys.argv[1:]]))
 
 
 # `verify` on the document path and any further options given, then the
-# child's peak resident set (ru_maxrss, KB on Linux) on stderr
+# child's own peak resident set (VmHWM, KB, Linux) and its CPU seconds
+# (ru_utime + ru_stime, start-up included) on stderr; ru_maxrss would not
+# do, since a child spawned by a larger process reports the parent's peak
 VERIFY_REPORTING_PEAK = """
 import resource, sys
 from cyclocert.cli import main
 code = main(["verify", *sys.argv[1:]])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(peak, usage.ru_utime + usage.ru_stime, file=sys.stderr)
 sys.exit(code)
 """
