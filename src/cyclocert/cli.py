@@ -335,8 +335,8 @@ def _phi_prefix(
 
     Phi_n(x) = Phi_rad(x**s), s = n/rad, so these are the first
     floor(kmax/s) + 1 coefficients of Phi_rad, spread s apart.  They come
-    from the truncated product, O(#low * kmax/s), unless that reaches half
-    of Phi_rad's degree (or rad = 1), where the cached phi_poly(n) is read.
+    from the truncated product, O(#low * kmax/s) within the budget, unless it
+    reaches half of Phi_rad's degree (or rad = 1), where phi_poly(n) is read.
     """
     s = n // rad.value()
     phi = euler_phi(rad)
@@ -348,7 +348,7 @@ def _phi_prefix(
     if rad.is_one or 2 * reach >= phi:
         return phi_poly(n, degree_budget=budget).coeffs[: kmax + 1]
     coeffs = [0] * (kmax + 1)
-    coeffs[::s] = phi_truncated(rad, reach + 1)
+    coeffs[::s] = phi_truncated(rad, reach + 1, degree_budget=budget)
     return coeffs
 
 

@@ -197,29 +197,30 @@ def _periodic_tail(
     when every high h is at most start, K = kernel_fac (1/(1 - x) in place
     of 1/Phi_K for K = 1).
 
-    With L one period of 1/Phi_K, read from c_table's memo, coefficient
-    j >= start is L[j mod K] - sum of e_h * L[(j - h) mod K] over every h,
-    which depends on j mod K alone.  So one tail period S is built, grouping
-    the high divisors by residue r mod K into weights w_r, and tiled from
-    start mod K.
+    With L one period of 1/Phi_K, read from c_table's memo, and w_r the sum
+    of e_h over the h = r mod K, coefficient j >= start is L[j mod K] - sum
+    of w_r * L[(j - r) mod K], which depends on j mod K alone.  So only the
+    min(K, truncation - start) coefficients returned are computed, from one
+    window of L at start and one at start - r per nonzero w_r, then tiled.
     """
     period = (1,) if kernel_fac.is_one else _c_table_cached(kernel_fac).period
     kernel = len(period)
+    size = min(kernel, truncation - start)
+
+    def window(offset: int) -> tuple[int, ...]:  # L[(offset + i) mod K], 0 <= offset < K
+        return period[offset : offset + size] + period[: max(offset + size - kernel, 0)]
+
     weights: dict[int, int] = {}
     for h, sign in high:
         r = h % kernel
         weights[r] = weights.get(r, 0) + sign
-    tail = period
+    read = window(start % kernel)
     for r, weight in weights.items():
         if weight:
-            shifted = period[kernel - r :] + period[: kernel - r]  # L[(s - r) mod K]
-            tail = list(map(sub, tail, map(mul, repeat(weight), shifted)))
-    offset = start % kernel
-    rotated = tail[offset:] + tail[:offset]
-    read = rotated[: truncation - start]
+            read = list(map(sub, read, map(mul, repeat(weight), window((start - r) % kernel))))
     if max(read) > MACHINE_INT_MAX or min(read) < -MACHINE_INT_MAX:
         raise ArithmeticOverflowError("coefficient outside the 64-bit range")
-    return tuple(islice(cycle(rotated), truncation - start))
+    return tuple(islice(cycle(read), truncation - start))
 
 
 def _truncated_product(
@@ -237,15 +238,14 @@ def _truncated_product(
 
     - Periodic: when the factors up to some divisor K are exactly those of
       1/Phi_K (see _kernel_factors) and every divisor above K is high and at
-      most start, one period of 1/Phi_K is read from c_table's memo and the
-      requested coefficients are read from one tail period (see
-      _periodic_tail).  K is the largest low divisor or else the least
-      high one, the latter only within degree_budget.  A valid certificate's
-      kernel K lies below its first cluster prime, hence below half the
-      truncation, so no proper divisor of K is high, and every valid
-      certificate takes this route.  It costs O(#div(K) * K) on a memo miss
-      plus O(#residues * K + #high + (truncation - start)), and holds
-      O(K + truncation - start), independent of the truncation itself.
+      most start, the requested coefficients are read from windows of one
+      period of 1/Phi_K in c_table's memo (see _periodic_tail).  K is the
+      largest low divisor or else the least high one, the latter only
+      within degree_budget.  A valid certificate's kernel K lies below its
+      first cluster prime, hence below half the truncation, so no proper
+      divisor of K is high, and every valid certificate takes this route.
+      With R = truncation - start, it costs O(#div(K) * K) on a memo miss,
+      then O(#residues * min(K, R) + #high + R), holding O(R) beside it.
     - Dense: otherwise (any other N, and the exact-polynomial builds), the
       seeded product of _dense_product, O(#low) steps of a few O(truncation)
       passes each plus O(#high), holding one packed series of the
@@ -304,9 +304,9 @@ def phi_truncated(
     divisors up to K make exactly 1/Phi_K and every one above K is at most
     start, K the largest low divisor or else the least high one within
     degree_budget (every valid certificate's kernel is one of the two), the
-    result is tiled from one period of length K, read from c_table's memo:
-    O(#div(K) * K) to build it on a miss, plus O(#residues mod K * K +
-    #high + (truncation - start)) time, and O(K + truncation - start)
+    result is read from one period of length K in c_table's memo:
+    O(#div(K) * K) to build it on a miss, then, with R = truncation -
+    start, O(#residues * min(K, R) + #high + R) time and O(R)
     memory.  Otherwise the dense product costs O(passes * truncation +
     #high), never governed by n itself: a multiplication by 1 - x**d is
     one pass and a division about log2(truncation/d), and a division at d

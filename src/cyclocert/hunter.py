@@ -348,9 +348,9 @@ def verify_certificate(
     divisor below the truncation is a cluster prime, high and at or below
     the first coefficient read.  So the product takes its periodic route:
     one period of 1/Phi_kernel, read from c_table's memo (keyed on the
-    kernel as factored off N's own primes), then one tail period, in
-    O(#div(kernel) * kernel + t) either way, which depends on v only
-    through t.  Any other N (a tampered one) takes the dense route,
+    kernel as factored off N's own primes) in O(#div(kernel) * kernel)
+    on a miss, then O(t), or O(t + min(W, kernel)) with full_window.
+    Any other N (a tampered one) takes the dense route,
     O(#low * truncation + t).  A "budget" reason means that nothing was
     expanded: the dense route's truncation exceeded degree_budget, or N
     has more divisors with squarefree cofactor below the truncation than

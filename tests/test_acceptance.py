@@ -262,6 +262,36 @@ def test_criterion_6_adversarial_verification(tmp_path, monkeypatch):
         assert (code, report["reasons"]) == (1, ["plan"])
 
 
+def test_overflow_reason_end_to_end(tmp_path, capsys):
+    """A document whose N overflows the expansion is refused with "overflow".
+
+    The hunted m = 6 document gets m = N = 3*5*7*11*23*29*31*37*43*47, k =
+    107293 and one cluster prime 53717.  With ten primes in m the divisor
+    cap 2**10 + 1 admits N's divisors below the truncation (with m = 6 the
+    read stops at 5 of them, as "budget"), so the dense route expands them
+    and a partial product leaves the 64-bit range.  That is a refusal of a
+    partial product, not of a returned coefficient: should the dense route
+    come to check only the coefficients it returns, this document must be
+    replaced by one whose read coefficients overflow.
+    """
+    assert main(["hunt", "--m", "6", "--value", "2", "--mode", "c"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    del data["verification"]
+    primes = [3, 5, 7, 11, 23, 29, 31, 37, 43, 47]
+    m = 1
+    for p in primes:
+        m *= p
+    assert m == 1785819453495
+    data.update(m=m, N_factors=[[p, 1] for p in primes], k=107293, primes=[53717])
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    for extra in ([], ["--full-window"]):
+        assert main(["verify", str(path), *extra]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert not report["pass"]
+        assert "overflow" in report["reasons"], (extra, report["reasons"])
+
+
 def _verify_and_capture(path):
     import contextlib
     import io

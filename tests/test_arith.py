@@ -429,6 +429,25 @@ class TestPrimeCluster:
         with pytest.raises(SearchBoundExceededError):
             find_prime_cluster(PrimeClusterSpec(15, 2, 15, 8), scan_ceiling=20)
 
+    def test_search_stops_at_the_ceiling(self, monkeypatch):
+        # 151 = 1 (mod 30) is the first class prime above floor_n = 150, and
+        # every n it could serve is at least 150, above the ceiling 100: the
+        # search stops at it, before 181 (its range ends at r * 100 = 187.5),
+        # so it reads no class prime at or above r * 100
+        read = []
+        class_primes = arith._class_primes
+
+        def recorded(modulus, above, top):
+            for p in class_primes(modulus, above, top):
+                if modulus == 30:  # not the sieving primes, modulus 1
+                    read.append(p)
+                yield p
+
+        monkeypatch.setattr(arith, "_class_primes", recorded)
+        with pytest.raises(SearchBoundExceededError):
+            find_prime_cluster(PrimeClusterSpec(30, 1, 15, 8, floor_n=150), scan_ceiling=100)
+        assert read == [151]
+
     @staticmethod
     def _assert_invariants(cluster: PrimeCluster, spec: PrimeClusterSpec):
         assert len(cluster.primes) == spec.count

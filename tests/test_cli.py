@@ -780,6 +780,26 @@ class TestScanCommand:
         assert json.loads(out) == [{"value": -1, "n": 1, "k": 0}, {"value": 1, "n": 2, "k": 0}]
         assert expanded == []
 
+    def test_kmax_prefix_reads_under_the_environment_budget(self, capsys, monkeypatch):
+        # the truncated prefix read gets the budget the scan runs under, so a
+        # raised CYCLO_DEGREE_BUDGET admits a larger --kmax
+        budgets = []
+        truncated = cli.phi_truncated
+
+        def recorded(n, truncation, start=0, **kwargs):
+            budgets.append(kwargs.get("degree_budget"))
+            return truncated(n, truncation, start, **kwargs)
+
+        monkeypatch.setattr(cli, "phi_truncated", recorded)
+        monkeypatch.setenv("CYCLO_DEGREE_BUDGET", "5000")
+        code, out, _ = run_cli(capsys, "scan", "--m", "105", "--nmax", "1", "--kmax", "10", "--json")
+        assert code == 0
+        coeffs = cyclo.phi_poly(105).coeffs[:11]
+        assert json.loads(out) == [
+            {"value": value, "n": 105, "k": coeffs.index(value)} for value in sorted(set(coeffs))
+        ]
+        assert budgets == [5000]
+
     def test_height_bound_against_long_division(self):
         # no n <= 700 has four odd primes: the least such n is 1155
         for n in range(1, 701):

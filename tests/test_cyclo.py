@@ -16,6 +16,7 @@ from cyclocert.cyclo import (
     phi_truncated,
 )
 from cyclocert.errors import DegreeBudgetExceededError
+from cyclocert.hunter import build_certificate
 from cyclocert.series import TruncatedSeries
 
 from passes import counting_passes
@@ -618,6 +619,23 @@ class TestOneList:
         finally:
             tracemalloc.stop()
         return result, peak
+
+
+class TestPeriodicRead:
+    def test_one_coefficient_builds_nothing_of_the_period_length(self):
+        # the hunted certificate's coefficient k, read alone with the period
+        # of 1/Phi_30030 already in the memo: windows of length 1, never a
+        # copy of the 30030-entry period
+        cert = build_certificate(30030, 3, "a")
+        k = cert.k_kernel
+        assert phi_truncated(cert.N, k + 1, k) == (3,)
+        tracemalloc.start()
+        try:
+            assert phi_truncated(cert.N, k + 1, k) == (3,)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestInversePhiTruncated:
