@@ -478,7 +478,3 @@ def main(argv: list[str] | None = None) -> int:
         # all resource/usage errors by the exit-code contract
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -197,18 +197,23 @@ def _periodic_tail(
     when every high h is at most start, K = kernel_fac (1/(1 - x) in place
     of 1/Phi_K for K = 1).
 
-    With L one period of 1/Phi_K, read from c_table's memo, and w_r the sum
-    of e_h over the h = r mod K, coefficient j >= start is L[j mod K] - sum
-    of w_r * L[(j - r) mod K], which depends on j mod K alone.  So only the
-    min(K, truncation - start) coefficients returned are computed, from one
-    window of L at start and one at start - r per nonzero w_r, then tiled.
+    With L one period of 1/Phi_K and w_r the sum of e_h over the h = r mod
+    K, coefficient j >= start is L[j mod K] - sum of w_r * L[(j - r) mod K],
+    which depends on j mod K alone.  So only the min(K, truncation - start)
+    coefficients returned are computed, from one window of L at start and
+    one at start - r per nonzero w_r, then tiled.  The windows are cut from
+    c_table's memo of L[0..deg], deg = K - phi(K), with L[j] = 0 written
+    for deg < j < K, so nothing of length K is built for a short read.
     """
-    period = (1,) if kernel_fac.is_one else _c_table_cached(kernel_fac).period
-    kernel = len(period)
+    prefix = (1,) if kernel_fac.is_one else _c_table_cached(kernel_fac)
+    kernel = kernel_fac.value()
     size = min(kernel, truncation - start)
 
+    def span(a: int, b: int) -> tuple[int, ...]:  # L[a:b], 0 <= a <= b <= K
+        return prefix[a:b] + (0,) * (b - max(a, len(prefix)))
+
     def window(offset: int) -> tuple[int, ...]:  # L[(offset + i) mod K], 0 <= offset < K
-        return period[offset : offset + size] + period[: max(offset + size - kernel, 0)]
+        return span(offset, min(offset + size, kernel)) + span(0, max(offset + size - kernel, 0))
 
     weights: dict[int, int] = {}
     for h, sign in high:
@@ -239,13 +244,15 @@ def _truncated_product(
     - Periodic: when the factors up to some divisor K are exactly those of
       1/Phi_K (see _kernel_factors) and every divisor above K is high and at
       most start, the requested coefficients are read from windows of one
-      period of 1/Phi_K in c_table's memo (see _periodic_tail).  K is the
+      period of 1/Phi_K, cut from its nonzero part c(K, 0..K - phi(K)) in
+      c_table's memo (see _periodic_tail).  K is the
       largest low divisor or else the least high one, the latter only
       within degree_budget.  A valid certificate's kernel K lies below its
       first cluster prime, hence below half the truncation, so no proper
       divisor of K is high, and every valid certificate takes this route.
-      With R = truncation - start, it costs O(#div(K) * K) on a memo miss,
-      then O(#residues * min(K, R) + #high + R), holding O(R) beside it.
+      With R = truncation - start, it costs O(#div(K) * (K - phi(K))) on a
+      memo miss, then O(#residues * min(K, R) + #high + R), holding O(R)
+      beside the memo's K - phi(K) + 1 entries.
     - Dense: otherwise (any other N, and the exact-polynomial builds), the
       seeded product of _dense_product, O(#low) steps of a few O(truncation)
       passes each plus O(#high), holding one packed series of the
@@ -304,10 +311,11 @@ def phi_truncated(
     divisors up to K make exactly 1/Phi_K and every one above K is at most
     start, K the largest low divisor or else the least high one within
     degree_budget (every valid certificate's kernel is one of the two), the
-    result is read from one period of length K in c_table's memo:
-    O(#div(K) * K) to build it on a miss, then, with R = truncation -
-    start, O(#residues * min(K, R) + #high + R) time and O(R)
-    memory.  Otherwise the dense product costs O(passes * truncation +
+    result is read from windows of one period of 1/Phi_K, cut from the
+    nonzero part c(K, 0..K - phi(K)) that c_table's memo holds:
+    O(#div(K) * (K - phi(K))) to build it on a miss, then, with R =
+    truncation - start, O(#residues * min(K, R) + #high + R) time and
+    O(R) memory.  Otherwise the dense product costs O(passes * truncation +
     #high), never governed by n itself: a multiplication by 1 - x**d is
     one pass and a division about log2(truncation/d), and a division at d
     whose partner p*d (p the largest prime of n) is a multiplication folds
@@ -361,16 +369,6 @@ def _half_product(fac: FactoredInteger, degree: int, exponent: int) -> tuple[int
     return lower + (mirror if exponent == 1 else tuple(map(neg, mirror)))
 
 
-# keyed on the factorization of a squarefree n, since phi_poly stretches
-# Phi_rad for every other n; bounded, since a scan would otherwise keep every
-# polynomial it visits; a_coeff reads Phi_K from it, one K for every k of one n
-@lru_cache(maxsize=16)
-def _phi_poly_cached(fac: FactoredInteger) -> CyclotomicPoly:
-    if fac.is_one:
-        return CyclotomicPoly(1, (-1, 1))
-    return CyclotomicPoly(fac.value(), _half_product(fac, euler_phi(fac), 1))
-
-
 def _factor_within_budget(n: int, degree_budget: int) -> FactoredInteger:
     """factor(n), once n is known positive and phi(n) within the budget.
 
@@ -395,48 +393,51 @@ def phi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> Cyclotomi
     """Exact Phi_n, as Phi_rad(x**s) with rad = rad(n) and s = n/rad.
 
     Only the squarefree Phi_rad is expanded, by the truncated divisor
-    product of rad at half its degree, mirrored (rad > 1) and cached; its
-    coefficients are then spread s apart.  The cost is that half-length
-    product over the divisors of rad, plus O(phi(n)) for the stretch.
+    product of rad at half its degree, mirrored (rad > 1); its coefficients
+    are then spread s apart.  Nothing is cached: every call pays that
+    half-length product over the divisors of rad, plus O(phi(n)) for the
+    stretch.
     """
-    base = _phi_poly_cached(radical(_factor_within_budget(n, degree_budget)))
-    s = n // base.n
-    if s == 1:
-        return base
-    coeffs = [0] * ((len(base.coeffs) - 1) * s + 1)
-    coeffs[::s] = base.coeffs
-    return CyclotomicPoly(n, tuple(coeffs))
+    rad = radical(_factor_within_budget(n, degree_budget))
+    coeffs = (-1, 1) if rad.is_one else _half_product(rad, euler_phi(rad), 1)
+    s = n // rad.value()
+    if s > 1:
+        stretched = [0] * ((len(coeffs) - 1) * s + 1)
+        stretched[::s] = coeffs
+        coeffs = tuple(stretched)
+    return CyclotomicPoly(n, coeffs)
 
 
-# one period of 1/Phi_n per factored n, read by c_table, by a_coeff and by the
+# c(n, 0..deg), deg = n - phi(n), per factored n: the nonzero part of one
+# period of 1/Phi_n, read by c_table, by a_coeff through it and by the
 # periodic route of _truncated_product (the verifier's), whose K is factored
 # off N's primes; bounded, since a_coeff keeps one per kernel K = rad(n)/p it
 # meets; 32 holds every kernel of the acceptance grid (m <= 30)
 @lru_cache(maxsize=32)
-def _c_table_cached(fac: FactoredInteger) -> InverseCoefficientTable:
+def _c_table_cached(fac: FactoredInteger) -> tuple[int, ...]:
     if fac.is_one:
-        return InverseCoefficientTable(1, (-1,))
-    n = fac.value()
-    degree = n - euler_phi(fac)
-    zeros = (0,) * (n - degree - 1)  # the window degree < j < n
-    return InverseCoefficientTable(n, _half_product(fac, degree, -1) + zeros)
+        return (-1,)
+    return _half_product(fac, fac.value() - euler_phi(fac), -1)
 
 
 def c_table(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> InverseCoefficientTable:
     """The length-n period of c(n, .): 1/Phi_n expanded modulo x**n.
 
     For n > 1 the truncated divisor product runs only to (n - phi(n))/2 and
-    the anti-palindrome of Psi_n supplies the rest (see _half_product), so
-    a table costs a few passes of O((n - phi(n))/2) per divisor d of n
-    below (n - phi(n))/4, one geometric sum in place of each division
-    whose partner p*d is a multiplication (see phi_truncated), plus O(n).
-    Tables are cached, a bounded number of them.
+    the anti-palindrome of Psi_n supplies the rest of c(n, 0..n - phi(n))
+    (see _half_product), so a table costs a few passes of O((n - phi(n))/2)
+    per divisor d of n below (n - phi(n))/4, one geometric sum in place of
+    each division whose partner p*d is a multiplication (see
+    phi_truncated), plus O(n).  Only that nonzero part is cached, a bounded
+    number of them; the zero window n - phi(n) < j < n is appended on every
+    call, O(n).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > degree_budget:
         raise DegreeBudgetExceededError(f"{n} exceeds degree budget {degree_budget}")
-    return _c_table_cached(factor(n))
+    prefix = _c_table_cached(factor(n))
+    return InverseCoefficientTable(n, prefix + (0,) * (n - len(prefix)))
 
 
 def a_coeff(n: int, k: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> int:
@@ -450,11 +451,11 @@ def a_coeff(n: int, k: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> in
 
         a(Kp, k) = sum over 0 <= i <= min(phi(K), k/p) of a(K, i) * c(K, k - p*i)
 
-    with a(K, .) from phi_poly(K) and c(K, .) from c_table's memo, keyed on K
-    as factored off n, both cached.  K <= phi(n), so the budget checks are
-    those of phi_poly(n) and nothing else can exceed the budget.  The cost
-    is O(#div(K) * K) to build both tables, once per K, plus
-    O(min(phi(K), k/p)) per call.  That sum is paid on every call: a loop
+    with a(K, .) from phi_poly(K) and c(K, .) from c_table(K), whose memo
+    is keyed on K.  K <= phi(n), so the budget checks are those of
+    phi_poly(n) and nothing else can exceed the budget.  The cost is
+    O(#div(K) * K) to expand Phi_K, on every call, and the period of
+    1/Phi_K, once per K, plus O(K + min(phi(K), k/p)) per call.  A loop
     over the k of one n should read phi_poly(n).
     """
     if k < 0:
@@ -473,7 +474,7 @@ def a_coeff(n: int, k: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> in
     p = rad.factors[-1][0]
     kernel = FactoredInteger(rad.factors[:-1])  # K = rad/p
     coeffs = phi_poly(kernel.value(), degree_budget=degree_budget).coeffs
-    table = _c_table_cached(kernel)
+    table = c_table(kernel.value(), degree_budget=degree_budget)
     # map stops at the shorter input: i <= phi(K) and p*i <= k
     value = sum(map(mul, coeffs, map(table.lookup, range(k, -1, -p))))
     if abs(value) > MACHINE_INT_MAX:

@@ -693,16 +693,16 @@ class TestScanCommand:
         assert run_cli(capsys, "coeff", "a", str(m), "0")[::2] == (code, err)
 
     def test_only_squarefree_polynomials_are_cached(self, monkeypatch, capsys):
-        # Phi_n for a non-squarefree n is Phi_rad(n) stretched, never cached
+        # Phi_n for a non-squarefree n is Phi_rad(n) stretched: only squarefree
+        # factorizations are expanded
         built = []
-        cached = cyclo._phi_poly_cached
+        half = cyclo._half_product
 
-        def recorded(fac):
+        def recorded(fac, degree, exponent):
             built.append(fac)
-            return cached(fac)
+            return half(fac, degree, exponent)
 
-        cached.cache_clear()
-        monkeypatch.setattr(cyclo, "_phi_poly_cached", recorded)
+        monkeypatch.setattr(cyclo, "_half_product", recorded)
         assert run_cli(capsys, "scan", "--m", "12", "--nmax", "20")[0] == 0
         assert built and all(e == 1 for fac in built for _, e in fac.factors)
 
@@ -773,7 +773,6 @@ class TestScanCommand:
             return half(fac, degree, exponent)
 
         monkeypatch.setattr(cyclo, "_half_product", counted)
-        cyclo._phi_poly_cached.cache_clear()
         argv = ["scan", "--m", "1", "--nmax", "4000", "--kmax", "0", "--json"]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
@@ -1132,12 +1131,10 @@ class TestFreshProcess:
         path.write_text(json.dumps(data))
         self._assert_clean_failures(path)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="a period of 1/Phi_K is built whole, whatever K")
     def test_unbudgeted_high_kernel_period_exits_cleanly(self, capsys, tmp_path):
         # below k + 1 the divisors of N = P * c are 1, P and c; the low ones,
-        # 1 and P, make 1/Phi_P, whose half product is one entry long but
-        # whose zeros window holds P - 2 entries
+        # 1 and P, make 1/Phi_P, whose half product is one entry long; its
+        # zeros window of P - 2 entries must never be built
         path = tmp_path / "cert.json"
         run_cli(capsys, "hunt", "--m", "6", "--value", "2", "--mode", "a", "--out", str(path))
         low, high = next_prime_above(10**12), next_prime_above(3 * 10**12)

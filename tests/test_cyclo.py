@@ -193,7 +193,6 @@ class TestPhiPoly:
         base = phi_poly(210).coeffs
         counts = []
         for n in (210, 2**10 * 105, 2**14 * 105):
-            cyclo._phi_poly_cached.cache_clear()
             cyclo._c_table_cached.cache_clear()
             updates = 0
             coeffs = phi_poly(n).coeffs
@@ -309,7 +308,6 @@ class TestACoeff:
             apply(series, d, sign)
 
         monkeypatch.setattr(TruncatedSeries, "apply_one_minus_power", counted)
-        cyclo._phi_poly_cached.cache_clear()
         cyclo._c_table_cached.cache_clear()
         assert a_coeff(1616615, 300000) == -805
         assert 0 < updates <= 1_500_000
@@ -378,7 +376,7 @@ class TestInversePeriod:
             parities.add((len(psi) - 1) % 2)
             expected = tuple(-c for c in psi) + (0,) * (n - len(psi))
             cyclo._c_table_cached.cache_clear()
-            assert cyclo._c_table_cached(factor(n)).period == expected, n
+            assert cyclo._c_table_cached(factor(n)) == expected[: len(psi)], n
             assert c_table(n).period == expected, n
         assert parities == {0, 1}
 
@@ -391,7 +389,7 @@ class TestInversePeriod:
         assert (n - euler_phi(fac)) % 2 == parity
         expected = tuple(divisor_product(n, n, -1))
         cyclo._c_table_cached.cache_clear()
-        assert cyclo._c_table_cached(fac).period == expected
+        assert cyclo._c_table_cached(fac) == expected[: n - euler_phi(fac) + 1]
         assert c_table(n).period == expected
 
     def test_kernel_one_is_the_geometric_series(self):
@@ -492,7 +490,6 @@ class TestPairedSteps:
         # a clock-free guard: the full-width passes of a cold build, pinned
         # (parent_passes is the count with every division stepped alone)
         cyclo._c_table_cached.cache_clear()
-        cyclo._phi_poly_cached.cache_clear()
         with counting_passes(monkeypatch) as totals:
             build(n)
         assert totals["passes"] == passes < parent_passes
@@ -635,6 +632,33 @@ class TestPeriodicRead:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_prime_kernel_read_builds_nothing_of_the_kernel_length(self):
+        # below the truncation the divisors of N = P * c are 1, P and c, and
+        # 1 and P make 1/Phi_P = (1 - x)/(1 - x**P): its nonzero part is two
+        # entries long, and a read of one coefficient must not build the
+        # P - 2 zeros after them (building the whole period peaks near 16
+        # MB); N * c' has an even number of primes above P, so its inverse
+        # reads the same kernel
+        low, high = next_prime_above(10**6), next_prime_above(3 * 10**6)
+        higher = next_prime_above(high)
+        n = FactoredInteger(((low, 1), (high, 1)))
+
+        def period(j):  # one period of (1 - x)/(1 - x**P)
+            return {0: 1, 1: -1}.get(j % low, 0)
+
+        cyclo._c_table_cached.cache_clear()
+        tracemalloc.start()
+        try:
+            forward = phi_truncated(n, high + 6, high + 5)
+            backward = inverse_phi_truncated(n * factor(higher), higher + 6, higher + 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # (1 - x**c)**-1 and (1 - x**c')**-1 are 1 + x**c and 1 + x**c' here
+        assert forward == (period(high + 5) + period(5),)
+        assert backward == (period(higher + 5) + period(higher + 5 - high) + period(5),)
         assert peak < 64 * 1024
 
 

@@ -559,7 +559,6 @@ class TestVerifyCertificate:
 
 def _clear_caches() -> None:
     cyclo._c_table_cached.cache_clear()
-    cyclo._phi_poly_cached.cache_clear()
     hunter._cluster_cached.cache_clear()
 
 

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -65,6 +66,44 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(path.name, line, name) for name, line in imported.items() if name not in used]
     assert unused == []
+
+def test_every_memo_is_bounded():
+    # memory may grow with what a call returns, never with the inputs a
+    # process has seen: every functools cache the package defines, found
+    # both as a decorator in the source and as a live object, has a maxsize
+    package = Path(cyclocert.__file__).parent
+    memos = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__main__.py":  # runs the command line on import
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        decorated = sum(
+            ast.unparse(decorator).partition("(")[0] in {"lru_cache", "functools.lru_cache",
+                                                         "cache", "functools.cache"}
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for decorator in node.decorator_list
+        )
+        module = importlib.import_module(
+            "cyclocert" if path.stem == "__init__" else f"cyclocert.{path.stem}"
+        )
+        found = {}
+        for name, value in vars(module).items():
+            scopes = [(name, value)]
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                scopes += [(f"{name}.{attr}", getattr(member, "__func__", member))
+                           for attr, member in vars(value).items()]
+            found.update(
+                (f"{module.__name__}.{qualified}", memo)
+                for qualified, memo in scopes
+                if hasattr(memo, "cache_parameters") and memo.__module__ == module.__name__
+            )
+        assert len(found) == decorated, (path.name, sorted(found))
+        memos.update(found)
+    assert {"cyclocert.cyclo._c_table_cached", "cyclocert.hunter._cluster_cached"} <= set(memos)
+    unbounded = [name for name, memo in memos.items() if memo.cache_parameters()["maxsize"] is None]
+    assert unbounded == []
+
 
 # runs coeff, scan and hunt through cli.main and prints the exit codes, then
 # the top-level names of the modules loaded since the interpreter started;
