@@ -1,0 +1,258 @@
+"""Digests of what the package computes, one per family of inputs.
+
+    python3 scripts/same_outputs.py [--src PATH] [--quick] [--dump FILE]
+
+For each family it prints one line: the family's name, the number of items
+it computed and one SHA-256 over every item's key and output.  Two trees
+give the same outputs on a family when they print the same line for it.
+
+- cyclo: c_table's period, lookup and c_coeff at residues far past the
+  period, a_coeff, phi_poly, and periodic phi_truncated /
+  inverse_phi_truncated reads over several kernels K, with reads longer
+  than K among them; exceptions (budget refusals included) are outputs.
+- documents: `hunt` on the acceptance grid (m <= 30, |v| <= 10), on m = 30
+  with v in {+-300, +-1000} and on m in {2310, 30030} with small |v|, both
+  modes, with the document, the plain and the `--full-window` `verify`
+  output, and every exit code.
+- tampers: each of the 19 document fields of five hunted documents set in
+  turn to each of a list of bad values, and three documents edited in
+  several fields whose periodic kernel no divisor limit stops, with the
+  plain and the `--full-window` `verify` output and exit code.
+
+Each family runs in a child process of its own over PATH/src (by default
+this repository's), so every cache starts cold and a family's digest does
+not depend on which other families ran.  The child's environment holds no
+CYCLO_* variable, so the cli's budgets are their defaults whatever the
+calling shell sets.  --quick runs a subset of every family in a few
+seconds.  --dump appends every item to FILE as one JSON line [family, key,
+output], so two trees' dumps can be compared line by line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from random import Random
+
+FAMILIES = ("cyclo", "documents", "tampers")
+
+# an output longer than this is kept as its SHA-256, so dumps stay small
+_LONG = 2000
+
+
+def _text(value) -> str:
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) > _LONG:
+        return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+    return text
+
+
+def _call(function, *args, **kwargs) -> str:
+    """The value of the call, or the exception it raised, as text."""
+    try:
+        return _text(function(*args, **kwargs))
+    except Exception as exc:  # every exception is an output of the sweep
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _cli(*argv: str) -> str:
+    """Exit code, stdout and stderr of one in-process `cyclocert` run."""
+    from cyclocert.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        except Exception as exc:  # a traceback is an output too
+            code = f"raised {type(exc).__name__}: {exc}"
+    return _text(json.dumps([code, out.getvalue(), err.getvalue()]))
+
+
+def cyclo_items(quick: bool):
+    from cyclocert import cyclo
+    from cyclocert.arith import FactoredInteger, euler_phi, factor, next_prime_above
+
+    top = 120 if quick else 1500
+    rng = Random(2602)
+    for n in range(1, top):
+        phi = euler_phi(factor(n))
+        table = cyclo.c_table(n)
+        far = (n - 1, n, 2 * n + 1, 10**12 + n, 3**40)
+        yield f"c_table {n}", _text(table.period)
+        yield f"lookup {n}", _text([table.lookup(k) for k in far])
+        yield f"c_coeff {n}", _text([cyclo.c_coeff(n, k) for k in far])
+        yield f"phi_poly {n}", _text(cyclo.phi_poly(n).coeffs)
+        ks = sorted({0, 1, phi // 2, phi - 1, phi, phi + 1, rng.randrange(phi + 2)})
+        yield f"a_coeff {n}", _text([cyclo.a_coeff(n, k) for k in ks])
+    for n in ((2310, 15015) if quick else (2310, 15015, 30030, 85085, 255255)):
+        table = cyclo.c_table(n)
+        yield f"c_table {n}", _text(table.period)
+        yield f"lookup {n}", _text([table.lookup(k) for k in range(0, 50 * n, 997)])
+    for n, k, budget in ((101, 0, 100), (1009, 3, 100), (10**14, 0, 1000), (30, 5, 8),
+                         (0, 0, 10), (210, 7, 47), (210, 7, 48), (2310, 1, 0)):
+        for name in ("c_table", "phi_poly"):
+            yield f"{name} {n} budget {budget}", _call(getattr(cyclo, name), n,
+                                                       degree_budget=budget)
+        for name in ("a_coeff", "c_coeff"):
+            yield f"{name} {n} {k} budget {budget}", _call(getattr(cyclo, name), n, k,
+                                                           degree_budget=budget)
+
+    kernels = (1, 2, 6, 15, 30, 105) if quick else (1, 2, 6, 15, 30, 105, 210, 1155, 2310)
+    for kernel in kernels:
+        kernel_fac = factor(kernel) if kernel > 1 else FactoredInteger(())
+        # primes above 4K: the first three = 1 (mod K), and the first three of any residue
+        above = []
+        while sum(p % kernel == 1 % kernel for p in above) < 3:
+            above.append(next_prime_above(above[-1] if above else 4 * kernel))
+        congruent = [p for p in above if p % kernel == 1 % kernel]
+        for cluster in (congruent[:1], congruent[:2], congruent, above[:2], above[:3]):
+            truncation = 2 * cluster[0]
+            for with_q in (False, True):
+                q = next_prime_above(max(truncation, cluster[-1]))
+                primes = cluster + [q] if with_q else cluster
+                n = kernel_fac * FactoredInteger(tuple((p, 1) for p in primes))
+                for start in sorted({cluster[-1], cluster[-1] + 1, truncation - 1,
+                                     (cluster[-1] + truncation) // 2, kernel}):
+                    if not 0 <= start < truncation:
+                        continue
+                    for name in ("phi_truncated", "inverse_phi_truncated"):
+                        key = f"{name} {kernel} {primes} {truncation} {start}"
+                        yield key, _call(getattr(cyclo, name), n, truncation, start)
+
+
+def _documents(quick: bool) -> list[tuple[int, int]]:
+    """The (m, v) of the documents family, each hunted in both modes."""
+    if quick:
+        return [(m, v) for m in range(1, 7) for v in range(-3, 4)] + [(30, -300), (30, 300),
+                                                                      (2310, 2)]
+    grid = [(m, v) for m in range(1, 31) for v in range(-10, 11)]
+    deep = [(30, v) for v in (-1000, -300, 300, 1000)]
+    wide = [(m, v) for m in (2310, 30030) for v in (-3, 0, 2, 5)]
+    return grid + deep + wide
+
+
+def documents_items(quick: bool):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "cert.json")
+        for m, v in _documents(quick):
+            for mode in "ac":
+                argv = ("hunt", "--m", str(m), "--value", str(v), "--mode", mode, "--out", path)
+                if os.path.exists(path):
+                    os.remove(path)
+                key = f"{m} {v} {mode}"
+                yield f"hunt {key}", _cli(*argv)
+                if not os.path.exists(path):
+                    continue
+                yield f"document {key}", _text(Path(path).read_text())
+                yield f"verify {key}", _cli("verify", path)
+                yield f"verify --full-window {key}", _cli("verify", path, "--full-window")
+
+
+TAMPER_BASES = ((6, 2, "a"), (15, -2, "a"), (30, 7, "c"), (1, -2, "a"), (12, 3, "c"))
+
+# bad values for any field: other JSON types, edges of the 64-bit range,
+# malformed and well-formed factor lists, and two huge primes' worth of N
+BAD_VALUES = (
+    "x", "1", True, False, None, 1.5, [], {}, -2, -1, 0, 1, 2, 3,
+    2**63 - 1, 2**63, -(2**63), 10**40, -(10**40), 1000000000039,
+    [1], [2, 3], [10000000000037], [[2]], [[2, 1]], [[2, 0]], [[1, 1]],
+    [[3, 1], [2, 1]], [[2, 1], [2, 1]], [[2**63, 1]],
+    [[2, 1], [3, 1], [1000000000039, 1]],
+)
+
+
+# documents edited in several fields at once, whose periods of 1/Phi_K no
+# divisor limit stops, as (the hunted base, the edits).  With N = 6P and
+# cluster primes near 10**13 that do not divide it, every divisor of N is
+# low and together they make 1/Phi_6P, with P = 1,000,003 small enough to
+# expand whole; with N = P * c, P near 10**12, 1 and P make 1/Phi_P
+_NEAR_10_13 = [10000000000037, 10000000000051, 10000000000099, 10000000000129]
+_N_6P = [[2, 1], [3, 1], [1000003, 1]]
+COMPOUND_TAMPERS = (
+    ((6, 2, "c"), {"primes": _NEAR_10_13[:1], "k": 15 * 10**12, "N_factors": _N_6P}),
+    ((6, 2, "c"), {"primes": _NEAR_10_13, "k": 15 * 10**12, "N_factors": _N_6P}),
+    ((6, 2, "a"), {"primes": [3000000000013], "k": 3000000000018,
+                   "N_factors": [[1000000000039, 1], [3000000000013, 1]]}),
+)
+
+
+def tampers_items(quick: bool):
+    from cyclocert.cli import main
+
+    bases = TAMPER_BASES[:1] if quick else TAMPER_BASES
+    values = BAD_VALUES[::4] if quick else BAD_VALUES
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "cert.json")
+
+        def hunted(m: int, v: int, mode: str) -> dict:
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(["hunt", "--m", str(m), "--value", str(v), "--mode", mode, "--out", path])
+            base = json.loads(Path(path).read_text())
+            del base["verification"]
+            return base
+
+        tampers = []
+        for m, v, mode in bases:
+            base = hunted(m, v, mode)
+            tampers += [((m, v, mode), base, {field: value}) for field in base for value in values]
+        tampers += [(spec, hunted(*spec), edits) for spec, edits in COMPOUND_TAMPERS]
+        for (m, v, mode), base, edits in tampers:
+            Path(path).write_text(json.dumps(dict(base, **edits)))
+            key = f"{m} {v} {mode} {json.dumps(edits)}"
+            yield f"verify {key}", _cli("verify", path)
+            yield f"verify --full-window {key}", _cli("verify", path, "--full-window")
+
+
+def _run_family(name: str, quick: bool) -> None:
+    """Print every item of one family, one JSON line [key, output] each."""
+    for key, output in globals()[f"{name}_items"](quick):
+        print(json.dumps([key, output]))
+
+
+def digest(lines: list[str]) -> str:
+    """SHA-256 over the items' JSON lines, in order."""
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="root of the tree to run (default: this repository)")
+    parser.add_argument("--quick", action="store_true", help="a subset of every family")
+    parser.add_argument("--dump", type=Path, help="append every item here, one JSON line each")
+    parser.add_argument("--child", choices=FAMILIES, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        _run_family(args.child, args.quick)
+        return 0
+    # the cli's budgets from the environment are left at their defaults
+    env = {key: value for key, value in os.environ.items() if not key.startswith("CYCLO_")}
+    env.update(PYTHONPATH=str(args.src.resolve() / "src"),
+               PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
+    for name in FAMILIES:
+        command = [sys.executable, str(Path(__file__).resolve()), "--child", name]
+        run = subprocess.run(command + ["--quick"] * args.quick, env=env,
+                             capture_output=True, text=True, cwd=tempfile.gettempdir())
+        if run.returncode:
+            sys.stderr.write(run.stderr)
+            return 1
+        lines = run.stdout.splitlines()
+        print(f"{name} {len(lines)} {digest(lines)}")
+        if args.dump:
+            with args.dump.open("a") as dump:
+                dump.writelines(json.dumps([name, *json.loads(line)]) + "\n" for line in lines)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -46,23 +46,46 @@ class CyclotomicPoly:
 
 @dataclass(frozen=True)
 class InverseCoefficientTable:
-    """One period of c(n, .): period[j] = c(n, j) for 0 <= j < n.
+    """c(n, .) from the nonzero part of its period: nonzero[j] = c(n, j)
+    for 0 <= j <= n - phi(n).
 
     c(n, k) depends only on k mod n because 1/Phi_n = -Psi_n * (1 + x**n +
-    x**2n + ...) and deg Psi_n = n - phi(n) < n; consequently period[j] is
-    -1 times the x**j coefficient of Psi_n, and the window
-    n - phi(n) < j < n is identically zero.  For n > 1, Psi_n is
-    anti-palindromic, since x**n - 1 is anti-reciprocal and Phi_n is
+    x**2n + ...) and deg Psi_n = n - phi(n) < n; consequently c(n, j) is
+    -1 times the x**j coefficient of Psi_n for j <= n - phi(n), and the
+    window n - phi(n) < j < n is identically zero.  Those zeros are never
+    stored: window writes them into the slice it returns.  For n > 1, Psi_n
+    is anti-palindromic, since x**n - 1 is anti-reciprocal and Phi_n is
     reciprocal (Moree, "Inverse cyclotomic polynomials", J. Number Theory
-    129, 2009): period[deg - j] = -period[j] for deg = n - phi(n), so half
-    of 0..deg determines the period; _half_product expands that half.
+    129, 2009): c(n, deg - j) = -c(n, j) for deg = n - phi(n), so half of
+    0..deg determines the period; _half_product expands that half.
     """
 
     n: int
-    period: tuple[int, ...]
+    nonzero: tuple[int, ...]
+
+    @property
+    def period(self) -> tuple[int, ...]:
+        """c(n, 0..n - 1), O(n) on every read."""
+        return self.window(0, self.n)
 
     def lookup(self, k: int) -> int:
-        return self.period[k % self.n]
+        j = k % self.n
+        return self.nonzero[j] if j < len(self.nonzero) else 0
+
+    def window(self, offset: int, count: int) -> tuple[int, ...]:
+        """c(n, (offset + i) mod n) for 0 <= i < count, any integer offset.
+
+        Each turn of the period the window crosses adds one slice of the
+        nonzero part and the zeros after it, so a window of at most n
+        entries is at most two of each: O(count), with nothing of length n
+        built for a short window.
+        """
+        out, j = [], offset % self.n
+        while len(out) < count:
+            stop = min(self.n, j + count - len(out))
+            out += self.nonzero[j:stop] + (0,) * (stop - max(j, len(self.nonzero)))
+            j = 0
+        return tuple(out)
 
 
 def _mobius_unit_divisors(
@@ -201,28 +224,21 @@ def _periodic_tail(
     K, coefficient j >= start is L[j mod K] - sum of w_r * L[(j - r) mod K],
     which depends on j mod K alone.  So only the min(K, truncation - start)
     coefficients returned are computed, from one window of L at start and
-    one at start - r per nonzero w_r, then tiled.  The windows are cut from
-    c_table's memo of L[0..deg], deg = K - phi(K), with L[j] = 0 written
-    for deg < j < K, so nothing of length K is built for a short read.
+    one at start - r per nonzero w_r, then tiled.  The windows are read
+    through an InverseCoefficientTable over c_table's memo of L[0..deg],
+    deg = K - phi(K), so nothing of length K is built for a short read.
     """
-    prefix = (1,) if kernel_fac.is_one else _c_table_cached(kernel_fac)
-    kernel = kernel_fac.value()
-    size = min(kernel, truncation - start)
-
-    def span(a: int, b: int) -> tuple[int, ...]:  # L[a:b], 0 <= a <= b <= K
-        return prefix[a:b] + (0,) * (b - max(a, len(prefix)))
-
-    def window(offset: int) -> tuple[int, ...]:  # L[(offset + i) mod K], 0 <= offset < K
-        return span(offset, min(offset + size, kernel)) + span(0, max(offset + size - kernel, 0))
-
+    nonzero = (1,) if kernel_fac.is_one else _c_table_cached(kernel_fac)
+    table = InverseCoefficientTable(kernel_fac.value(), nonzero)
+    size = min(table.n, truncation - start)
     weights: dict[int, int] = {}
     for h, sign in high:
-        r = h % kernel
+        r = h % table.n
         weights[r] = weights.get(r, 0) + sign
-    read = window(start % kernel)
+    read = table.window(start, size)
     for r, weight in weights.items():
         if weight:
-            read = list(map(sub, read, map(mul, repeat(weight), window((start - r) % kernel))))
+            read = list(map(sub, read, map(mul, repeat(weight), table.window(start - r, size))))
     if max(read) > MACHINE_INT_MAX or min(read) < -MACHINE_INT_MAX:
         raise ArithmeticOverflowError("coefficient outside the 64-bit range")
     return tuple(islice(cycle(read), truncation - start))
@@ -252,7 +268,9 @@ def _truncated_product(
       divisor of K is high, and every valid certificate takes this route.
       With R = truncation - start, it costs O(#div(K) * (K - phi(K))) on a
       memo miss, then O(#residues * min(K, R) + #high + R), holding O(R)
-      beside the memo's K - phi(K) + 1 entries.
+      beside the memo's K - phi(K) + 1 entries.  A half product of
+      (K - phi(K))//2 + 1 entries above degree_budget + omega(n) raises
+      DegreeBudgetExceededError, on a memo hit as on a miss.
     - Dense: otherwise (any other N, and the exact-polynomial builds), the
       seeded product of _dense_product, O(#low) steps of a few O(truncation)
       passes each plus O(#high), holding one packed series of the
@@ -270,9 +288,8 @@ def _truncated_product(
     # a valid certificate's N has at most K <= degree_budget divisors below
     # the truncation from its kernel K, plus one per cluster prime
     limit = degree_budget + len(n.factors)
-    if divisor_limit is not None:
-        limit = min(limit, divisor_limit)
-    steps = sorted(_mobius_unit_divisors(n, truncation - 1, limit))
+    cap = limit if divisor_limit is None else min(limit, divisor_limit)
+    steps = sorted(_mobius_unit_divisors(n, truncation - 1, cap))
     if exponent != 1:
         steps = [(d, exponent * mu) for d, mu in steps]
     # sorted by d, so the low ones (2d < truncation) come first
@@ -286,6 +303,10 @@ def _truncated_product(
         if end == len(steps) or steps[-1][0] <= start:
             kernel_fac = _kernel_factors(n, steps[:end])
             if kernel_fac is not None:
+                # the half product of 1/Phi_K, (K - phi(K))//2 + 1 entries, is
+                # held to the divisors' limit, whether or not the memo holds it
+                if (kernel_fac.value() - euler_phi(kernel_fac)) // 2 >= limit:
+                    raise DegreeBudgetExceededError(f"half product of 1/Phi_K exceeds {limit}")
                 return _periodic_tail(kernel_fac, steps[end:], truncation, start)
     if truncation > degree_budget:
         raise DegreeBudgetExceededError(
@@ -327,7 +348,9 @@ def phi_truncated(
     raises it once more than degree_budget + omega(n) divisors with
     squarefree cofactor lie below the truncation, or more than
     divisor_limit where that is smaller, so a hostile n with a huge
-    truncation stops there.
+    truncation stops there; the periodic route raises it as well when
+    K's half product, (K - phi(K))//2 + 1 entries, exceeds degree_budget
+    + omega(n), whether or not c_table's memo holds it.
     Both routes raise ArithmeticOverflowError when a coefficient leaves the
     64-bit range: on the dense route, any coefficient of the product after
     any step (checked only where a carried magnitude bound does not prove
@@ -409,10 +432,11 @@ def phi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> Cyclotomi
 
 
 # c(n, 0..deg), deg = n - phi(n), per factored n: the nonzero part of one
-# period of 1/Phi_n, read by c_table, by a_coeff through it and by the
-# periodic route of _truncated_product (the verifier's), whose K is factored
-# off N's primes; bounded, since a_coeff keeps one per kernel K = rad(n)/p it
-# meets; 32 holds every kernel of the acceptance grid (m <= 30)
+# period of 1/Phi_n, held by every InverseCoefficientTable (c_table's,
+# a_coeff's through it, the hunter's, and the periodic route's of
+# _truncated_product, whose K is factored off N's primes) and read only
+# through its window and lookup; bounded, since a_coeff keeps one per kernel K =
+# rad(n)/p it meets; 32 holds every kernel of the acceptance grid (m <= 30)
 @lru_cache(maxsize=32)
 def _c_table_cached(fac: FactoredInteger) -> tuple[int, ...]:
     if fac.is_one:
@@ -421,23 +445,24 @@ def _c_table_cached(fac: FactoredInteger) -> tuple[int, ...]:
 
 
 def c_table(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> InverseCoefficientTable:
-    """The length-n period of c(n, .): 1/Phi_n expanded modulo x**n.
+    """c(n, .), the series of 1/Phi_n, as a table over the nonzero part
+    c(n, 0..n - phi(n)) of its period.
 
     For n > 1 the truncated divisor product runs only to (n - phi(n))/2 and
     the anti-palindrome of Psi_n supplies the rest of c(n, 0..n - phi(n))
     (see _half_product), so a table costs a few passes of O((n - phi(n))/2)
     per divisor d of n below (n - phi(n))/4, one geometric sum in place of
     each division whose partner p*d is a multiplication (see
-    phi_truncated), plus O(n).  Only that nonzero part is cached, a bounded
-    number of them; the zero window n - phi(n) < j < n is appended on every
-    call, O(n).
+    phi_truncated).  Only that nonzero part is cached, a bounded number of
+    them; a call on a memo hit costs factor(n) and builds nothing of length
+    n, since the table's windows write the zeros n - phi(n) < j < n into
+    what they return.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > degree_budget:
         raise DegreeBudgetExceededError(f"{n} exceeds degree budget {degree_budget}")
-    prefix = _c_table_cached(factor(n))
-    return InverseCoefficientTable(n, prefix + (0,) * (n - len(prefix)))
+    return InverseCoefficientTable(n, _c_table_cached(factor(n)))
 
 
 def a_coeff(n: int, k: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> int:
@@ -483,7 +508,7 @@ def a_coeff(n: int, k: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> in
 
 
 def c_coeff(n: int, k: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> int:
-    """c(n, k) via the periodic table: c(n, k) = period[k mod n]."""
+    """c(n, k) via the table: c(n, k mod n), 0 past n - phi(n)."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     return c_table(n, degree_budget=degree_budget).lookup(k)

@@ -41,6 +41,7 @@ from .arith import (
     PrimeCluster,
     PrimeClusterSpec,
     all_prime,
+    euler_phi,
     factor,
     find_prime_cluster,
     is_prime,
@@ -134,38 +135,33 @@ class VerificationReport:
     reasons: tuple[str, ...] = ()
 
 
-def _window_identity(
-    period: tuple[int, ...], step: int, delta: int, count: int = 1
-) -> tuple[int, ...]:
-    """c(K, 1 + d) - step * c(K, d) for d = delta, ..., delta + count - 1,
-    residues mod K = len(period), with step = mu(K) * t: the window
+def _window_identity(values: tuple[int, ...], step: int) -> tuple[int, ...]:
+    """c(K, 1 + d) - step * c(K, d) for each d but the last of consecutive
+    values c(K, d), c(K, d + 1), ..., with step = mu(K) * t: the window
     identity's value at offset d."""
-    kernel = len(period)
-    return tuple(
-        period[(d + 1) % kernel] - step * period[d % kernel]
-        for d in range(delta, delta + count)
-    )
+    return tuple(after - step * at for at, after in zip(values, values[1:]))
 
 
 def plan_target(m: int, v: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> TargetPlan:
     """Choose the smallest t >= 1 (ties: smallest delta) whose window hits v.
 
-    Solves t directly from the window identity for every offset delta in
-    [0, kernel) with c(kernel, delta) != 0; the identity is the same for
-    both modes, since the same window serves both coefficient families
-    below the truncation.
+    Solves t directly from the window identity for every offset delta with
+    c(kernel, delta) != 0, which lie in [0, kernel - phi(kernel)], since
+    c(kernel, .) is zero on the rest of its period; so it reads c(kernel,
+    0..kernel - phi(kernel) + 1), one window of the table.  The identity is
+    the same for both modes, since the same window serves both coefficient
+    families below the truncation.
     """
     if m < 2:
         raise ValueError(f"m must be at least 2 after kernel reduction, got {m}")
     kernel_fac = radical(factor(m))
     kernel, mu = kernel_fac.value(), mobius(kernel_fac)
-    period = c_table(kernel, degree_budget=degree_budget).period
+    table = c_table(kernel, degree_budget=degree_budget)
+    values = table.window(0, kernel - euler_phi(kernel_fac) + 2)
     best: tuple[int, int] | None = None
-    for delta in range(kernel):
-        c_at = period[delta]
+    for delta, (c_at, c_next) in enumerate(zip(values, values[1:])):
         if c_at == 0:
             continue
-        c_next = period[(delta + 1) % kernel]
         spread = mu * (c_next - v)
         if spread % c_at:
             continue
@@ -180,7 +176,7 @@ def plan_target(m: int, v: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -
     # the zero window c(K, deg + 1) = 0 (phi(K) >= 2), so the offsets 0 and
     # deg give t = 1 - mu*v and t = mu*v.  Either way one of the two is >= 1.
     t, delta = best
-    (predicted,) = _window_identity(period, mu * t, delta)
+    (predicted,) = _window_identity(values[delta : delta + 2], mu * t)
     assert predicted == v
     return TargetPlan(kernel, mu, t, delta, predicted)
 
@@ -294,16 +290,16 @@ def predict_window(
     Entry i is c(kernel, k) - mu * t * c(kernel, k - 1) at k = p_t + i, for
     the first min(W, kernel) k of the window, W = 2*p_1 - p_t.  It depends
     on k mod kernel alone, so entry (k - p_t) mod kernel predicts every k of
-    the window: O(min(W, kernel)) steps and memory.
+    the window.  It reads one window of min(W, kernel) + 1 values of the
+    table from k = p_t - 1: O(min(W, kernel)) steps and memory.
     """
     plan = certificate.plan
-    period = c_table(plan.kernel, degree_budget=degree_budget).period
     p_first = certificate.cluster.primes[0]
     p_last = certificate.cluster.primes[-1]
     width = max(0, 2 * p_first - p_last)
-    return _window_identity(
-        period, plan.mu_kernel * plan.t, p_last - 1, min(width, plan.kernel)
-    )
+    table = c_table(plan.kernel, degree_budget=degree_budget)
+    values = table.window(p_last - 1, min(width, plan.kernel) + 1)
+    return _window_identity(values, plan.mu_kernel * plan.t)
 
 
 def verify_certificate(
@@ -347,15 +343,20 @@ def verify_certificate(
     as the periodic route requires of a high kernel), and every other
     divisor below the truncation is a cluster prime, high and at or below
     the first coefficient read.  So the product takes its periodic route:
-    one period of 1/Phi_kernel, read from c_table's memo (keyed on the
-    kernel as factored off N's own primes) in O(#div(kernel) * kernel)
-    on a miss, then O(t), or O(t + min(W, kernel)) with full_window.
+    windows of one period of 1/Phi_kernel, cut from the nonzero part that
+    c_table's memo holds (keyed on the kernel as factored off N's own
+    primes), built in O(#div(kernel) * kernel) on a miss.  The plan check
+    reads two entries of c_table(kernel), on the same memo.  With the memo
+    warm, plain verification costs O(t) and builds nothing of the kernel's
+    length, and full_window costs O(t + min(W, kernel)).
     Any other N (a tampered one) takes the dense route,
     O(#low * truncation + t).  A "budget" reason means that nothing was
     expanded: the dense route's truncation exceeded degree_budget, or N
     has more divisors with squarefree cofactor below the truncation than
     degree_budget + omega(N), or than the 2**omega(kernel) + t of a valid
-    certificate (the kernel's and the cluster primes).  An "overflow"
+    certificate (the kernel's and the cluster primes), or the periodic
+    route's half product of 1/Phi_K, (K - phi(K))//2 + 1 entries, exceeds
+    degree_budget + omega(N).  An "overflow"
     reason means that a coefficient of the period of 1/Phi_kernel or one
     read (periodic route), or of the product after any step (dense route),
     left the signed 64-bit range.
@@ -433,20 +434,20 @@ def verify_certificate(
         if certificate.N.factors != tuple(sorted(merged.items())):
             flag(REASON_COMPOSITION)
 
-    # plan consistency against the true table
-    period: tuple[int, ...] | None = None
+    # plan consistency against the true table, read at delta and 1 + delta
+    pair: tuple[int, ...] | None = None
     if plan.predicted_value != certificate.v:
         flag(REASON_PLAN)
     if not 0 <= plan.delta < max(kernel, 1) or t < 1:
         flag(REASON_PLAN)
     elif kernel_fac is not None:
         try:
-            period = c_table(kernel, degree_budget=degree_budget).period
+            pair = c_table(kernel, degree_budget=degree_budget).window(plan.delta, 2)
         except DegreeBudgetExceededError:
             flag(REASON_PLAN)
         else:
-            predicted = _window_identity(period, plan.mu_kernel * t, plan.delta)
-            if period[plan.delta] == 0 or predicted != (plan.predicted_value,):
+            predicted = _window_identity(pair, plan.mu_kernel * t)
+            if pair[0] == 0 or predicted != (plan.predicted_value,):
                 flag(REASON_PLAN)
 
     if not p_last <= certificate.k_kernel < 2 * p_first:
@@ -491,7 +492,7 @@ def verify_certificate(
     k = certificate.k_kernel
     window: tuple[int, ...] = ()
     expansion: tuple[int, ...] | None = None
-    if full_window and period is not None and p_last >= 0:
+    if full_window and pair is not None and p_last >= 0:
         window = predict_window(certificate, degree_budget=degree_budget)
         expansion = read(p_last, p_last + len(window)) if window else ()
     computed: int | None = None

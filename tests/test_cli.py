@@ -1107,19 +1107,15 @@ class TestFreshProcess:
             assert "Traceback" not in run.stderr
             assert json.loads(run.stdout)["pass"] is False
 
-    # two documents whose period of 1/Phi_K nothing budgets: a verifier that
-    # reads only the residues it needs should report them cleanly
-    @pytest.mark.parametrize("t", [
-        1,
-        pytest.param(4, marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError,
-            reason="a period of 1/Phi_K is built whole, whatever K")),
-    ])
+    # two documents whose period of 1/Phi_K no divisor limit stops: the
+    # verifier must report them cleanly all the same
+    @pytest.mark.parametrize("t", [1, 4])
     def test_unbudgeted_low_kernel_period_exits_cleanly(self, capsys, tmp_path, t):
         # every divisor of N is low and together they make 1/Phi_6p, so the
         # periodic route asks for a period of length 6p, about 6 * 10**12;
         # with one cluster prime the read stops at 2**2 + 1 of N's eight
-        # divisors and reports `budget`, with four all eight are read
+        # divisors and reports `budget`; with four all eight are read, and
+        # the half product of 1/Phi_6p, far above the budget, reports it
         path = tmp_path / "cert.json"
         run_cli(capsys, "hunt", "--m", "6", "--value", "2", "--mode", "c", "--out", str(path))
         primes = [10000000000037]

@@ -326,8 +326,13 @@ class TestACoeff:
 
 class TestCTable:
     def test_n_equals_one(self):
-        assert c_table(1).period == (-1,)
+        table = c_table(1)
+        assert table.period == (-1,)
         assert c_coeff(1, 10**6) == -1
+        for offset in (0, 1, -7, 10**30 + 7):
+            assert table.lookup(offset) == -1
+            for count in (0, 1, 2, 3):
+                assert table.window(offset, count) == (-1,) * count
 
     def test_n_equals_two(self):
         assert c_table(2).period == (1, -1)
@@ -364,6 +369,25 @@ class TestCTable:
             for j in range(tail_start + 1, n):
                 assert period[j] == 0, (n, j)
 
+    def test_a_warm_table_builds_nothing_of_its_length(self):
+        # on a memo hit, c_table and c_coeff read the memo's nonzero part of
+        # the period of 1/Phi_30030; a padded period would be a tuple of
+        # 30030 pointers, 240 KB
+        n = 30030
+        period = c_table(n).period
+        ks = (0, 7, 24270, 24271, 29999, 10**20 + 3)
+        tracemalloc.start()
+        try:
+            table = c_table(n)
+            values = [c_coeff(n, k) for k in ks]
+            pair = table.window(24270, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values == [period[k % n] for k in ks]
+        assert pair == period[24270:24272]
+        assert peak < 64 * 1024
+
 
 class TestInversePeriod:
     # the period of 1/Phi_K is expanded to floor(deg/2) and mirrored,
@@ -377,7 +401,18 @@ class TestInversePeriod:
             expected = tuple(-c for c in psi) + (0,) * (n - len(psi))
             cyclo._c_table_cached.cache_clear()
             assert cyclo._c_table_cached(factor(n)) == expected[: len(psi)], n
-            assert c_table(n).period == expected, n
+            table = c_table(n)
+            assert table.period == expected, n
+            if n > 300:
+                continue
+            # window and lookup against the padded period, at offsets past
+            # either end and counts across the zeros and whole turns
+            deg = len(psi) - 1
+            for offset in (0, 1, deg, deg + 1, n - 1, n, -1, -n - 3, 10**30 + 7, -(10**30) - 11):
+                assert table.lookup(offset) == expected[offset % n], (n, offset)
+                for count in (0, 1, deg + 1, n, n + 1, 2 * n + 1):
+                    window = tuple(expected[(offset + i) % n] for i in range(count))
+                    assert table.window(offset, count) == window, (n, offset, count)
         assert parities == {0, 1}
 
     @pytest.mark.parametrize(
@@ -462,6 +497,21 @@ class TestPhiTruncated:
         assert len(cyclo._mobius_unit_divisors(n, 1999, 25)) == 25
         with pytest.raises(DegreeBudgetExceededError):
             cyclo._mobius_unit_divisors(n, 1999, 24)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_half_period_is_budgeted_on_a_memo_hit_and_a_miss(self, warm):
+        # N = 30 * 31: below 62 the divisors of 30 make 1/Phi_30, whose half
+        # product has (30 - 8)//2 + 1 = 12 entries, and 31 is high; the
+        # limit is degree_budget + omega(N) = degree_budget + 4, whether or
+        # not c_table's memo already holds the half product
+        n = factor(30 * 31)
+        expected = phi_truncated(n, 62, 31)
+        cyclo._c_table_cached.cache_clear()
+        if warm:
+            c_table(30)
+        assert phi_truncated(n, 62, 31, degree_budget=8) == expected
+        with pytest.raises(DegreeBudgetExceededError, match="exceeds 11$"):
+            phi_truncated(n, 62, 31, degree_budget=7)
 
     def test_divisor_limit_lowers_the_budget_limit(self):
         # the same 25 divisors: a limit below them stops the enumeration, one

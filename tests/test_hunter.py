@@ -557,6 +557,22 @@ class TestVerifyCertificate:
         assert not report.passed
 
 
+def test_warm_plain_verify_builds_nothing_of_the_kernel_length():
+    # with the period of 1/Phi_30030 in the memo, the plan check reads two
+    # entries of it and the periodic route two windows of length 1: a padded
+    # period would be 30030 pointers, 240 KB
+    cert = build_certificate(30030, 3, "a")
+    assert verify_certificate(cert).passed
+    tracemalloc.start()
+    try:
+        report = verify_certificate(cert)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 64 * 1024
+
+
 def _clear_caches() -> None:
     cyclo._c_table_cached.cache_clear()
     hunter._cluster_cached.cache_clear()

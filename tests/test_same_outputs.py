@@ -1,0 +1,45 @@
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "same_outputs.py"
+_spec = importlib.util.spec_from_file_location("same_outputs", _SCRIPT)
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+
+# `python3 scripts/same_outputs.py --quick` on this tree; a change that
+# alters an output on purpose updates these lines and says why
+QUICK_DIGESTS = [
+    "cyclo 1163 199f38ae479f513bdd92dc530ea86523f825dd414f948eea0e62d8593feff565",
+    "documents 360 81745ce0517bc39e7e46c36ea046dc46bf16f55600356897342aca9df263e07c",
+    "tampers 310 54310bc46dcda389256fb3af22a987b3000d3cfbbbdf6a3e084402bc39a98bd9",
+]
+
+
+def test_quick_digests_are_pinned(monkeypatch, capsys):
+    # budgets set in the calling shell do not reach the sweep's children
+    monkeypatch.setenv("CYCLO_DEGREE_BUDGET", "5")
+    monkeypatch.setenv("CYCLO_SCAN_CEILING", "5")
+    assert same_outputs.main(["--quick"]) == 0
+    assert capsys.readouterr().out.splitlines() == QUICK_DIGESTS
+
+
+def test_digest_of_a_synthetic_family():
+    lines = ['["a", "1"]', '["b", "2"]']
+    expected = hashlib.sha256(b'["a", "1"]\n["b", "2"]\n').hexdigest()
+    assert same_outputs.digest(lines) == expected
+    assert same_outputs.digest(lines[::-1]) != expected
+
+
+def test_dump_holds_every_item_of_the_digest(tmp_path, capsys):
+    dump = tmp_path / "items.jsonl"
+    assert same_outputs.main(["--quick", "--dump", str(dump)]) == 0
+    rows = [json.loads(line) for line in dump.read_text().splitlines()]
+    for line in capsys.readouterr().out.splitlines():
+        name, count, digest = line.split()
+        items = [json.dumps(row[1:]) for row in rows if row[0] == name]
+        assert len(items) == int(count)
+        assert same_outputs.digest(items) == digest
+    assert {row[0] for row in rows} == set(same_outputs.FAMILIES)
+
