@@ -18,14 +18,21 @@ give the same outputs on a family when they print the same line for it.
   turn to each of a list of bad values, and three documents edited in
   several fields whose periodic kernel no divisor limit stops, with the
   plain and the `--full-window` `verify` output and exit code.
+- cli: `scan` over several m (m = 1 and non-squarefree m*n among them),
+  without --kmax and with --kmax negative, 0, on both sides of half of
+  Phi_rad's degree and past phi(n), and `coeff a` / `coeff c` at k from -1
+  to far past the degree, each under CYCLO_DEGREE_BUDGET unset, not
+  positive and set to small values that some n breaks, with the exit code,
+  stdout and stderr.
 
 Each family runs in a child process of its own over PATH/src (by default
 this repository's), so every cache starts cold and a family's digest does
 not depend on which other families ran.  The child's environment holds no
 CYCLO_* variable, so the cli's budgets are their defaults whatever the
-calling shell sets.  --quick runs a subset of every family in a few
-seconds.  --dump appends every item to FILE as one JSON line [family, key,
-output], so two trees' dumps can be compared line by line.
+calling shell sets; the cli family sets CYCLO_DEGREE_BUDGET itself, per
+item.  --quick runs a subset of every family in a few seconds.  --dump
+appends every item to FILE as one JSON line [family, key, output], so two
+trees' dumps can be compared line by line.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ import tempfile
 from pathlib import Path
 from random import Random
 
-FAMILIES = ("cyclo", "documents", "tampers")
+FAMILIES = ("cyclo", "documents", "tampers", "cli")
 
 # an output longer than this is kept as its SHA-256, so dumps stay small
 _LONG = 2000
@@ -211,6 +218,45 @@ def tampers_items(quick: bool):
             key = f"{m} {v} {mode} {json.dumps(edits)}"
             yield f"verify {key}", _cli("verify", path)
             yield f"verify --full-window {key}", _cli("verify", path, "--full-window")
+
+
+# CYCLO_DEGREE_BUDGET of the cli items, None for unset: scan --m 1 breaks
+# 50 at n = 53 and 500 at n = 503, and scan --m 105 breaks 50 at n = 315
+CLI_BUDGETS = (None, "-3", "0", "1", "7", "50", "500", "5000")
+# --kmax of the scans: 23, 24 and 25 straddle half of phi(105) = 48
+SCAN_KMAXES = (None, -5, -1, 0, 1, 2, 5, 11, 23, 24, 25, 60, 200, 10**6)
+
+
+def _cli_runs(quick: bool):
+    """(argv, budget) of the cli family: scans, then coeff reads."""
+    from cyclocert.arith import euler_phi, factor
+
+    budgets = CLI_BUDGETS[::2] if quick else CLI_BUDGETS
+    ms = (1, 12, 105) if quick else (1, 2, 6, 12, 30, 105, 210)
+    for m in ms:
+        argv = ("scan", "--m", str(m), "--nmax", str(max(10, 600 // m)))
+        yield argv, None
+        for kmax in SCAN_KMAXES[::3] if quick else SCAN_KMAXES:
+            flags = ("--json",) if kmax is None else ("--kmax", str(kmax), "--json")
+            yield from ((argv + flags, budget) for budget in budgets)
+    ns = (1, 12, 105, 10**14) if quick else (-3, 0, 1, 2, 4, 12, 30, 105, 210, 729, 1155,
+                                             2310, 10**14)
+    for n in ns:
+        # n < 1 and n = 10**14 fail under every budget, so a few small k do
+        phi = euler_phi(factor(n)) if 0 < n < 10**6 else 10
+        for k in sorted({-1, 0, 1, phi // 2, phi, phi + 1, 10**18}):
+            for kind in "ac":
+                argv = ("coeff", kind, str(n), str(k))
+                yield from ((argv + ("--json",) * (k == 1), budget) for budget in budgets)
+
+
+def cli_items(quick: bool):
+    for argv, budget in _cli_runs(quick):
+        if budget is None:
+            os.environ.pop("CYCLO_DEGREE_BUDGET", None)
+        else:
+            os.environ["CYCLO_DEGREE_BUDGET"] = budget
+        yield f"{budget} {' '.join(argv)}", _cli(*argv)
 
 
 def _run_family(name: str, quick: bool) -> None:

@@ -27,12 +27,11 @@ from .arith import (
     FactoredInteger,
     PrimeCluster,
     _class_primes,
-    euler_phi,
     factor,
     radical,
 )
-from .cyclo import DEFAULT_DEGREE_BUDGET, a_coeff, c_coeff, phi_poly, phi_truncated
-from .cyclo import _factor_within_budget
+from .cyclo import DEFAULT_DEGREE_BUDGET, a_coeff, c_coeff, phi_poly
+from .cyclo import _factor_within_budget, _phi_prefix
 from .errors import CycloError, DocumentFormatError, MACHINE_INT_MAX
 from .hunter import (
     DEFAULT_RATIO,
@@ -328,30 +327,6 @@ def _height_bound(fac: FactoredInteger) -> int | None:
     return None
 
 
-def _phi_prefix(
-    n: int, rad: FactoredInteger, kmax: int | None, budget: int
-) -> list[int] | tuple[int, ...]:
-    """a(n, 0..kmax), all of Phi_n for kmax None, empty for kmax < 0.
-
-    Phi_n(x) = Phi_rad(x**s), s = n/rad, so these are the first
-    floor(kmax/s) + 1 coefficients of Phi_rad, spread s apart.  They come
-    from the truncated product, O(#low * kmax/s) within the budget, unless it
-    reaches half of Phi_rad's degree (or rad = 1), where phi_poly(n) is read.
-    """
-    s = n // rad.value()
-    phi = euler_phi(rad)
-    if kmax is None:
-        kmax = phi * s
-    if kmax < 0:
-        return ()
-    reach = kmax // s
-    if rad.is_one or 2 * reach >= phi:
-        return phi_poly(n, degree_budget=budget).coeffs[: kmax + 1]
-    coeffs = [0] * (kmax + 1)
-    coeffs[::s] = phi_truncated(rad, reach + 1, degree_budget=budget)
-    return coeffs
-
-
 # a count of odd primes plus one, where 3 stands for three or more
 _COUNT_UP = bytes(min(count + 1, 3) for count in range(256))
 # multipliers _odd_prime_counts sieves at most, so its memory stays bounded
@@ -382,7 +357,7 @@ def _odd_prime_counts(m: int, size: int) -> bytes:
 def cmd_scan(args: argparse.Namespace) -> int:
     # n is factored by _factor_within_budget, where the budget checks of coeff
     # a live.  phi_poly(n) builds Phi_n(x) = Phi_rad(n)(x**s), s = n /
-    # rad(n), from the cached Phi_rad(n), so n is skipped, after its budget
+    # rad(n), expanding Phi_rad(n) afresh, so n is skipped, after its budget
     # check, when it cannot add a value:
     # - every value in [-B, B] has been seen, B = _height_bound(n): Phi_n's
     #   coefficients lie in [-B, B], and --kmax only drops some of them;
@@ -392,7 +367,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     # Up to n = budget the budget checks cannot fail (see there), so an n
     # there with at most two odd primes (B = 1), counted by one sieve over
     # the multipliers, is skipped unfactored once [-1, 1] has been seen.
-    # Under --kmax only a(n, 0..kmax) are read (see _phi_prefix).
+    # Under --kmax only a(n, 0..kmax) are read, by _phi_prefix from the
+    # factorization already made; without it phi_poly(n) factors n again.
     budget = _env_degree_budget()
     m = args.m
     sieved = b""
@@ -411,7 +387,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
         rad = radical(fac)
         if rad.value() < n and rad.value() % m == 0 and 0 in first_seen:
             continue
-        coeffs = _phi_prefix(n, rad, args.kmax, budget)
+        if args.kmax is None:
+            coeffs = phi_poly(n, degree_budget=budget).coeffs
+        else:
+            coeffs = _phi_prefix(fac, args.kmax, budget)
         new = set(coeffs).difference(first_seen)
         if new:
             # built from the top down, so each value keeps its smallest k

@@ -412,23 +412,43 @@ def _factor_within_budget(n: int, degree_budget: int) -> FactoredInteger:
     return fac
 
 
-def phi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> CyclotomicPoly:
-    """Exact Phi_n, as Phi_rad(x**s) with rad = rad(n) and s = n/rad.
+def _phi_prefix(fac: FactoredInteger, kmax: int, degree_budget: int) -> tuple[int, ...]:
+    """a(n, 0..min(kmax, phi(n))) for n = fac, () for kmax < 0: the one
+    read of Phi_n's coefficients, for phi_poly and scan --kmax, which have
+    budget-checked n (see _factor_within_budget).
 
-    Only the squarefree Phi_rad is expanded, by the truncated divisor
-    product of rad at half its degree, mirrored (rad > 1); its coefficients
-    are then spread s apart.  Nothing is cached: every call pays that
-    half-length product over the divisors of rad, plus O(phi(n)) for the
-    stretch.
+    Phi_n(x) = Phi_rad(x**s) with rad = rad(n) and s = n/rad, so these are
+    the first floor(kmax/s) + 1 coefficients of Phi_rad, spread s apart.
+    Below half of Phi_rad's degree they come from the truncated product
+    under degree_budget, O(#low * kmax/s); at or past half, Phi_rad is
+    expanded whole by _half_product, its half product mirrored (rad > 1).
+    Nothing is cached: each call pays that product, plus O(kmax) for the
+    stretch when s > 1.
     """
-    rad = radical(_factor_within_budget(n, degree_budget))
-    coeffs = (-1, 1) if rad.is_one else _half_product(rad, euler_phi(rad), 1)
-    s = n // rad.value()
-    if s > 1:
-        stretched = [0] * ((len(coeffs) - 1) * s + 1)
-        stretched[::s] = coeffs
-        coeffs = tuple(stretched)
-    return CyclotomicPoly(n, coeffs)
+    if kmax < 0:
+        return ()
+    rad = radical(fac)
+    s, phi = fac.value() // rad.value(), euler_phi(rad)
+    reach = min(kmax // s, phi)
+    if rad.is_one:
+        coeffs = (-1, 1)[: reach + 1]  # Phi_1 = x - 1
+    elif 2 * reach < phi:
+        coeffs = phi_truncated(rad, reach + 1, degree_budget=degree_budget)
+    else:
+        coeffs = _half_product(rad, phi, 1)[: reach + 1]
+    if s == 1:
+        return coeffs
+    stretched = [0] * (min(kmax, phi * s) + 1)
+    stretched[::s] = coeffs
+    return tuple(stretched)
+
+
+def phi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> CyclotomicPoly:
+    """Exact Phi_n, after the budget checks of _factor_within_budget: the
+    prefix of _phi_prefix to phi(n), so every call expands the half product
+    of Phi_rad over the divisors of rad, mirrors it and stretches it."""
+    fac = _factor_within_budget(n, degree_budget)
+    return CyclotomicPoly(n, _phi_prefix(fac, euler_phi(fac), degree_budget))
 
 
 # c(n, 0..deg), deg = n - phi(n), per factored n: the nonzero part of one

@@ -782,22 +782,39 @@ class TestScanCommand:
     def test_kmax_prefix_reads_under_the_environment_budget(self, capsys, monkeypatch):
         # the truncated prefix read gets the budget the scan runs under, so a
         # raised CYCLO_DEGREE_BUDGET admits a larger --kmax
+        coeffs = cyclo.phi_poly(105).coeffs[:11]
         budgets = []
-        truncated = cli.phi_truncated
+        truncated = cyclo.phi_truncated
 
         def recorded(n, truncation, start=0, **kwargs):
             budgets.append(kwargs.get("degree_budget"))
             return truncated(n, truncation, start, **kwargs)
 
-        monkeypatch.setattr(cli, "phi_truncated", recorded)
+        monkeypatch.setattr(cyclo, "phi_truncated", recorded)
         monkeypatch.setenv("CYCLO_DEGREE_BUDGET", "5000")
         code, out, _ = run_cli(capsys, "scan", "--m", "105", "--nmax", "1", "--kmax", "10", "--json")
         assert code == 0
-        coeffs = cyclo.phi_poly(105).coeffs[:11]
         assert json.loads(out) == [
             {"value": value, "n": 105, "k": coeffs.index(value)} for value in sorted(set(coeffs))
         ]
         assert budgets == [5000]
+
+    def test_kmax_factors_each_n_once(self, capsys, monkeypatch):
+        # under --kmax the prefix is read from the factorization the scan
+        # loop made, so phi_poly's own budget-checked factorization never runs
+        factored = []
+        within = cyclo._factor_within_budget
+
+        def recorded(n, degree_budget):
+            factored.append(n)
+            return within(n, degree_budget)
+
+        monkeypatch.setattr(cyclo, "_factor_within_budget", recorded)
+        argv = ["scan", "--m", "1", "--nmax", "300", "--kmax", "1000000", "--json"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert {row["value"] for row in json.loads(out)} == {-2, -1, 0, 1, 2}
+        assert factored == []
 
     def test_height_bound_against_long_division(self):
         # no n <= 700 has four odd primes: the least such n is 1155

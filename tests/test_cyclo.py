@@ -497,6 +497,11 @@ class TestPhiTruncated:
         assert len(cyclo._mobius_unit_divisors(n, 1999, 25)) == 25
         with pytest.raises(DegreeBudgetExceededError):
             cyclo._mobius_unit_divisors(n, 1999, 24)
+        # Phi_6's divisors make no 1/Phi_K, so its read is dense, and a
+        # dense truncation is held to the budget itself
+        with pytest.raises(DegreeBudgetExceededError,
+                           match="^dense truncation 20 exceeds degree budget 10$"):
+            phi_truncated(factor(6), 20, degree_budget=10)
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_half_period_is_budgeted_on_a_memo_hit_and_a_miss(self, warm):

@@ -329,6 +329,15 @@ class TestVerifyCertificate:
         full = verify_certificate(cert, True, degree_budget=budget)
         assert plain.passed and full.passed, (plain.reasons, full.reasons)
 
+    @pytest.mark.parametrize("full_window", [False, True])
+    def test_a_budget_below_a_high_kernel_is_refused(self, full_window):
+        # the other side of the budgets above: m = 30, v = 1 has kernel 30,
+        # high at its truncation, so a budget of 29 admits neither c_table(30)
+        # for the plan nor the periodic route, and the dense read is refused
+        report = verify_certificate(build_certificate(30, 1), full_window, degree_budget=29)
+        assert report.reasons == ("plan", "budget", "value-mismatch")
+        assert report.computed_value is None
+
     def test_composite_in_the_window_fails_primality(self, monkeypatch):
         # one cluster prime of m = 30, v = 1000 swapped for a composite = 1
         # (mod 30) between its neighbours, N and its lift rebuilt to match

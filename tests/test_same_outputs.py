@@ -14,6 +14,7 @@ QUICK_DIGESTS = [
     "cyclo 1163 199f38ae479f513bdd92dc530ea86523f825dd414f948eea0e62d8593feff565",
     "documents 360 81745ce0517bc39e7e46c36ea046dc46bf16f55600356897342aca9df263e07c",
     "tampers 310 54310bc46dcda389256fb3af22a987b3000d3cfbbbdf6a3e084402bc39a98bd9",
+    "cli 271 2ce46d847a4a2e8e99718e3820b36ab6376a0632035e4f361ce0e467d7d59e35",
 ]
 
 
