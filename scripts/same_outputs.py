@@ -24,6 +24,12 @@ give the same outputs on a family when they print the same line for it.
   to far past the degree, each under CYCLO_DEGREE_BUDGET unset, not
   positive and set to small values that some n breaks, with the exit code,
   stdout and stderr.
+- arith: factor for every n below 2**20, for seeded products of a small
+  part and one to three primes above 4096 (the cofactors that Brent's rho
+  splits) and for the inputs it refuses; all_prime on seeded lists of the
+  primes of a window, each taking the sieve or the Miller-Rabin route,
+  with and without one planted composite; is_prime at and next to
+  Jaeschke's psi_2, psi_3, psi_4 and psi_7.
 
 Each family runs in a child process of its own over PATH/src (by default
 this repository's), so every cache starts cold and a family's digest does
@@ -46,10 +52,11 @@ import os
 import subprocess
 import sys
 import tempfile
+from math import prod
 from pathlib import Path
 from random import Random
 
-FAMILIES = ("cyclo", "documents", "tampers", "cli")
+FAMILIES = ("cyclo", "documents", "tampers", "cli", "arith")
 
 # an output longer than this is kept as its SHA-256, so dumps stay small
 _LONG = 2000
@@ -257,6 +264,67 @@ def cli_items(quick: bool):
         else:
             os.environ["CYCLO_DEGREE_BUDGET"] = budget
         yield f"{budget} {' '.join(argv)}", _cli(*argv)
+
+
+# n whose cofactor after trial division is prime, a prime power or a
+# product of large primes: 4099 is the least prime above 4096, and the last
+# is 3825123056546413051, a strong pseudoprime to the bases 2..23
+COFACTOR_CASES = (
+    ((2147483647, 2),), ((9223372036854775783, 1),), ((3037000453, 1), (3037000493, 1)),
+    ((1000000007, 1), (1000000009, 1)), ((3, 1), (4099, 3)), ((4099, 5),), ((7, 1), (65537, 3)),
+    ((4099, 1), (4111, 1), (2147483647, 1)), ((149491, 1), (747451, 1), (34233211, 1)),
+)
+# (first value, width) of the windows whose primes make all_prime's lists
+WINDOWS = ((2, 3000), (10**4, 6000), (10**6, 20000), (10**8, 40000), (10**12, 4000))
+# Jaeschke's psi_2, psi_3, psi_4 and psi_7, where is_prime takes more bases
+PSIS = (1_373_653, 25_326_001, 3_215_031_751, 341_550_071_728_321)
+
+
+def _products(rng: Random, count: int):
+    """Seeded n below 2**63: a part below 4096 times one to three primes above it."""
+    from cyclocert.arith import next_prime_above
+    from cyclocert.errors import MACHINE_INT_MAX
+
+    for _ in range(count):
+        n, primes = rng.randrange(1, 4096), rng.randint(1, 3)
+        for i in range(primes):
+            bits = (MACHINE_INT_MAX // n).bit_length() // (primes - i)
+            p = next_prime_above(rng.randrange(4096, max(4097, 1 << bits)))
+            for _ in range(1 + (rng.random() < 0.2)):  # some squares
+                if n * p <= MACHINE_INT_MAX:
+                    n *= p
+        yield n
+
+
+def arith_items(quick: bool):
+    from cyclocert.arith import all_prime, factor, is_prime
+
+    top, block = 1 << (12 if quick else 20), 256
+    for lo in range(0, top, block):
+        yield f"factor {lo}..{lo + block - 1}", _text(
+            [factor(n).factors for n in range(max(lo, 1), lo + block)])
+    for n in (0, -12, 2**63 - 1, 2**63):
+        yield f"factor {n}", _call(factor, n)
+    rng = Random(2602)
+    products = [prod(p**e for p, e in case) for case in COFACTOR_CASES]
+    for n in products + list(_products(rng, 20 if quick else 400)):
+        yield f"factor {n}", _call(factor, n)
+
+    lists = [[], [2], [2, 3, 5, 7, 2, 3], [0, 2, 3], [1], [4], [561, 1105, 1729], list(PSIS)]
+    windows = WINDOWS[::2] if quick else WINDOWS + ((10**7, (1 << 18) + 5000),)
+    for lo, width in windows:
+        primes = [u for u in range(lo, lo + width) if is_prime(u)]
+        composites = [u for u in range(lo, lo + width) if not is_prime(u)]
+        for size in (5, 9, len(primes) // 8, len(primes)):
+            values = rng.sample(primes, min(size, len(primes)))
+            lists += [values, values + [rng.choice(composites)]]
+            lists += [values[: size // 2] + [rng.choice(composites)] + values[size // 2 :]]
+    for values in lists:
+        yield f"all_prime {_text(values)}", _call(all_prime, values)
+
+    for psi in PSIS:
+        near = range(psi - 10, psi + 11) if quick else range(psi - 300, psi + 301)
+        yield f"is_prime {near}", _text([u for u in near if is_prime(u)])
 
 
 def _run_family(name: str, quick: bool) -> None:

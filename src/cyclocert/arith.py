@@ -77,47 +77,49 @@ class FactoredInteger:
         return all(exps.get(p, 0) >= e for p, e in self.factors)
 
 
-_SMALL_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
-_TRIAL_LIMIT = 1 << 12  # trial division settles every n below _TRIAL_LIMIT**2
+def _small_primes(limit: int) -> list[int]:
+    """The primes up to limit, ascending, by a plain sieve of Eratosthenes."""
+    flags = bytearray(b"\x01") * (limit + 1)
+    flags[:2] = b"\x00\x00"
+    for q in range(2, isqrt(limit) + 1):
+        if flags[q]:
+            flags[q * q :: q] = bytes(len(range(q * q, limit + 1, q)))
+    return list(compress(range(limit + 1), flags))
+
+
+_TRIAL_LIMIT = 1 << 12
+# the primes below _TRIAL_LIMIT and the least above it, whose square passes
+# 2**24, so every n below 2**24 ends the walk at some d with d*d > n
+_TRIAL_PRIMES = (*_small_primes(_TRIAL_LIMIT), 4099)
 
 
 def factor(n: int) -> FactoredInteger:
     """Factor a machine-width integer.
 
-    Trial division with a 2/3/5 wheel up to _TRIAL_LIMIT, which settles
-    every n below 2**24 alone.  A larger cofactor, whose primes all exceed
-    the limit, is kept when is_prime accepts it and otherwise split by
-    Brent's rho, _brent_divisor; the pieces wait on an explicit stack, so
-    no input recurses or trial-divides past the limit.
+    Trial division by the primes below _TRIAL_LIMIT = 4096 and by 4099,
+    which settles every n below 2**24 alone.  A larger cofactor, whose
+    primes all exceed the limit, is kept when is_prime accepts it and
+    otherwise split by Brent's rho, _brent_divisor; the pieces wait on an
+    explicit stack, so no input recurses or trial-divides past the table.
     """
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
     if n > MACHINE_INT_MAX:
         raise ArithmeticOverflowError(f"{n} exceeds the 64-bit range")
     out = []
-    for p in (2, 3, 5):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-    d, step = 7, 0
-    while d * d <= n and d < _TRIAL_LIMIT:
+    for d in _TRIAL_PRIMES:
+        if d * d > n:
+            if n > 1:
+                out.append((n, 1))
+            return FactoredInteger(tuple(out))
         if n % d == 0:
             e = 0
             while n % d == 0:
                 n //= d
                 e += 1
             out.append((d, e))
-        d += _SMALL_WHEEL[step]
-        step = (step + 1) & 7
-    if d * d > n:
-        if n > 1:
-            out.append((n, 1))
-        return FactoredInteger(tuple(out))
     large: dict[int, int] = {}
-    stack = [n]
+    stack = [n] if n > 1 else []
     while stack:
         u = stack.pop()
         if is_prime(u):
@@ -268,19 +270,15 @@ def _window_all_prime(values: list[int]) -> bool:
     """Whether every one of the ascending values, all at least 2, is prime.
 
     A segmented sieve of Eratosthenes over [values[0], values[-1]] (Bays
-    and Hudson, BIT 17, 1977), whose base primes up to isqrt of the top
-    come from a plain sieve of their own, so the verifier shares no code
-    with the hunter's search.  It holds the base primes and one segment of
-    _SIEVE_SEGMENT flags; all_prime's rule keeps isqrt of the top below 8t.
+    and Hudson, BIT 17, 1977).  Its base primes up to isqrt of the top come
+    from _small_primes, the plain sieve that factor's trial primes come
+    from too, and not from the hunter's _class_primes, so the verifier
+    shares no sieve with the hunter's search.  It holds the base primes and
+    one segment of _SIEVE_SEGMENT flags; all_prime's rule keeps isqrt of
+    the top below 8t.
     """
     lo, hi = values[0], values[-1]
-    root = isqrt(hi)
-    flags = bytearray(b"\x01") * (root + 1)
-    flags[:2] = b"\x00\x00"
-    for q in range(2, isqrt(root) + 1):
-        if flags[q]:
-            flags[q * q :: q] = bytes(len(range(q * q, root + 1, q)))
-    bases = list(compress(range(root + 1), flags))
+    bases = _small_primes(isqrt(hi))
     zeros = memoryview(bytes(min(hi - lo, _SIEVE_SEGMENT) // 2 + 1))
     for start in range(lo, hi + 1, _SIEVE_SEGMENT):
         size = min(_SIEVE_SEGMENT, hi + 1 - start)

@@ -46,6 +46,11 @@ class TestFactor:
         with pytest.raises(ValueError):
             factor(-12)
 
+    def test_rejects_values_past_64_bits(self):
+        assert factor(MACHINE_INT_MAX).value() == MACHINE_INT_MAX
+        with pytest.raises(ArithmeticOverflowError):
+            factor(MACHINE_INT_MAX + 1)
+
     @given(st.integers(min_value=1, max_value=10**6))
     def test_roundtrip(self, n):
         fac = factor(n)
@@ -79,7 +84,15 @@ class TestFactor:
             ((149491, 1), (747451, 1), (34233211, 1)),
         ],
     )
-    def test_cofactors_beyond_trial_division(self, factors):
+    def test_cofactors_beyond_trial_division(self, monkeypatch, factors):
+        # rho splits composites only: handed 1 or a prime, it would never return
+        brent = arith._brent_divisor
+
+        def composites_only(u):
+            assert u >= 2 and not is_prime(u), f"rho was handed {u}"
+            return brent(u)
+
+        monkeypatch.setattr(arith, "_brent_divisor", composites_only)
         assert factor(FactoredInteger(factors).value()).factors == factors
 
     @given(
@@ -288,6 +301,9 @@ class TestNextPrimeAbove:
         assert next_prime_above(86) == 89
         assert next_prime_above(2) == 3
         assert next_prime_above(422) == 431
+        assert next_prime_above(0) == 2
+        with pytest.raises(ValueError):
+            next_prime_above(-1)
 
     def test_against_sieve(self):
         primes = sieve_primes(2000)
@@ -304,6 +320,10 @@ class TestPrimeCluster:
             PrimeClusterSpec(15, 2, 7, 8)  # ratio not above 1
         with pytest.raises(ValueError):
             PrimeClusterSpec(0, 2, 15, 8)
+        with pytest.raises(ValueError, match="count"):
+            PrimeClusterSpec(15, 0, 15, 8)
+        with pytest.raises(ValueError, match="floor_n"):
+            PrimeClusterSpec(15, 2, 15, 8, 0)
 
     def test_mod_15_pair(self):
         cluster = find_prime_cluster(PrimeClusterSpec(15, 2, 15, 8))

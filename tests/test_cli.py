@@ -204,6 +204,10 @@ class TestDocumentFormat:
                 lambda data: data["verification"].update(note="x"),
                 "unknown verification fields: ['note']",
             ),
+            (
+                lambda data: data["verification"].update(computed_value="2"),
+                "verification 'computed_value' must be an integer or null",
+            ),
         ],
     )
     def test_key_set_messages(self, edit, message):
@@ -216,6 +220,8 @@ class TestDocumentFormat:
     def test_not_json(self):
         with pytest.raises(DocumentFormatError):
             parse_document("certificate: yes")
+        with pytest.raises(DocumentFormatError, match="document must be a JSON object"):
+            parse_document("[]")
 
     def test_integer_past_the_digit_limit_is_a_format_error(self):
         # json.loads raises a plain ValueError for an int literal this long
@@ -351,9 +357,29 @@ class TestHuntAndVerify:
         assert (document.certificate.ratio_num, document.certificate.ratio_den) == (9, 5)
 
     def test_bad_ratio_usage_error(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as info:
-            main(["hunt", "--m", "3", "--value", "2", "--mode", "a", "--ratio", "2/1"])
-        assert info.value.code == 2
+        for ratio, message in (
+            ("2/1", "ratio must lie strictly between 1 and 2"),
+            ("3", "ratio must be written NUM/DEN"),
+            ("1/0", "bad ratio"),
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(["hunt", "--m", "3", "--value", "2", "--mode", "a", "--ratio", ratio])
+            assert info.value.code == 2
+            assert message in capsys.readouterr().err
+
+    def test_hunt_reports_a_fresh_certificate_that_fails_as_internal_error(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def failing(certificate, **_):
+            return VerificationReport(certificate, None, False, False, ("value",))
+
+        monkeypatch.setattr(cli, "verify_certificate", failing)
+        path = tmp_path / "cert.json"
+        code, out, err = run_cli(capsys, "hunt", "--m", "3", "--value", "2", "--mode", "a",
+                                 "--out", str(path))
+        assert code == 1
+        assert out == "" and not path.exists()
+        assert "internal error: fresh certificate failed verification" in err
 
     def test_hunt_scan_ceiling_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CYCLO_SCAN_CEILING", "10")

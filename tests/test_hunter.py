@@ -32,6 +32,7 @@ from cyclocert.hunter import (
     REASON_KERNEL,
     REASON_LIFT,
     REASON_PARITY,
+    REASON_PLAN,
     REASON_PRIMALITY,
     REASON_Q_BOUND,
     REASON_VALUE,
@@ -180,6 +181,12 @@ class TestBuildCertificate:
             build_certificate(3, 2, "a", Fraction(2, 1))
         with pytest.raises(ValueError):
             build_certificate(3, 2, "a", Fraction(1, 1))
+
+    def test_mode_and_m_validation(self):
+        with pytest.raises(ValueError, match="mode must be"):
+            build_certificate(3, 2, "x")
+        with pytest.raises(ValueError, match="m must be positive"):
+            build_certificate(0, 2, "a")
 
     def test_scan_ceiling_propagates(self):
         with pytest.raises(SearchBoundExceededError):
@@ -541,6 +548,9 @@ class TestVerifyCertificate:
             ],
             *[("kernel", kernel, {REASON_KERNEL}) for kernel in (2**63, 2**70)],
             ("N", FactoredInteger(()), {REASON_COMPOSITION, REASON_VALUE}),
+            ("mode", "x", {REASON_PLAN}),
+            # no cluster prime: the report ends before anything is expanded
+            ("cluster", PrimeCluster(1, ()), {REASON_CLUSTER}),
         ],
     )
     def test_out_of_range_fields_are_flagged_not_raised(self, field, value, expected, full_window):
@@ -554,7 +564,7 @@ class TestVerifyCertificate:
         report = verify_certificate(bad, full_window=full_window)
         assert not report.passed
         assert expected <= set(report.reasons), report.reasons
-        if field == "N":
+        if field in ("N", "cluster"):
             assert report.computed_value is None and not report.window_checked
 
     def test_shifted_k_reports_computed_value(self):

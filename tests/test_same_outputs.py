@@ -15,6 +15,7 @@ QUICK_DIGESTS = [
     "documents 360 81745ce0517bc39e7e46c36ea046dc46bf16f55600356897342aca9df263e07c",
     "tampers 310 54310bc46dcda389256fb3af22a987b3000d3cfbbbdf6a3e084402bc39a98bd9",
     "cli 271 2ce46d847a4a2e8e99718e3820b36ab6376a0632035e4f361ce0e467d7d59e35",
+    "arith 97 6719ae7453fa65339acbe097c5cf8f577ef1787d6c5a1efe8b66c76a993e15e5",
 ]
 
 
