@@ -56,7 +56,7 @@ from math import prod
 from pathlib import Path
 from random import Random
 
-FAMILIES = ("cyclo", "documents", "tampers", "cli", "arith")
+FAMILIES = ("cyclo", "documents", "tampers", "cli", "arith", "series")
 
 # an output longer than this is kept as its SHA-256, so dumps stay small
 _LONG = 2000
@@ -325,6 +325,58 @@ def arith_items(quick: bool):
     for psi in PSIS:
         near = range(psi - 10, psi + 11) if quick else range(psi - 300, psi + 301)
         yield f"is_prime {near}", _text([u for u in near if is_prime(u)])
+
+
+# truncations of the series family: T = 1 takes no step, and a division by
+# 1 - x at T = 1000 or 4099 grows the bound by T, past a limb edge
+SERIES_TRUNCATIONS = (1, 2, 3, 5, 8, 17, 64, 257, 1000, 4099)
+# term counts q of its geometric sums, most of them cut at the truncation
+SERIES_TERMS = (1, 2, 3, 4, 5, 7, 8, 16, 100, 10**9)
+
+
+def _series_input(series_type, rng: Random, truncation: int, kind):
+    """A series of the family: seeded, or from a list with coefficients
+    near 2**kind among small ones, under an exact or a looser bound; the
+    loosest, 2**63 - 1, puts 16-bit values on 64-bit limbs until a step
+    tightens it."""
+    if kind == "seeded":
+        ds = rng.sample(range(1, truncation), min(truncation - 1, rng.randint(0, 6)))
+        return series_type.seeded(truncation, [(d, rng.choice((1, -1))) for d in sorted(ds)])
+    top = 1 << kind
+    coeffs = [rng.choice((rng.randrange(-top, top), rng.randrange(-top, -top + 4),
+                          rng.randrange(top - 4, top), rng.randrange(-8, 9)))
+              for _ in range(truncation)]
+    exact = max(map(abs, coeffs))
+    return series_type(coeffs, rng.choice((exact, exact, 2 * exact, 3 * exact, 2**63 - 1)))
+
+
+def series_items(quick: bool):
+    from cyclocert.series import TruncatedSeries
+
+    rng = Random(2602)
+    truncations = SERIES_TRUNCATIONS[:8] if quick else SERIES_TRUNCATIONS
+    for index in range(60 if quick else 800):
+        truncation, kind = rng.choice(truncations), rng.choice(("seeded", 15, 31, 62))
+        steps = []
+        for _ in range(rng.randint(1, 8)):
+            d = rng.choice((1, 2, 3, rng.randint(1, truncation + 1)))
+            if rng.random() < 0.6:
+                steps.append(("apply_one_minus_power", d, rng.choice((1, -1))))
+            else:
+                steps.append(("apply_geometric_sum", d, rng.choice(SERIES_TERMS)))
+        start = rng.randrange(truncation)
+        # a state after each step; an exception ends the run, since a
+        # step that raises leaves the series unusable
+        states = []
+        try:
+            series = _series_input(TruncatedSeries, Random(index), truncation, kind)
+            for name, d, arg in steps:
+                getattr(series, name)(d, arg)
+                states.append((series.width, series.bound))
+            states.append(series.suffix(start))
+        except Exception as exc:  # an overflow is an output of the sweep
+            states.append(f"{type(exc).__name__}: {exc}")
+        yield f"series {index} {truncation} {kind} {steps} {start}", _text(states)
 
 
 def _run_family(name: str, quick: bool) -> None:

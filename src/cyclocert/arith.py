@@ -176,11 +176,10 @@ def euler_phi(n: FactoredInteger) -> int:
     """Euler's totient, multiplicatively: phi(p**e) = p**(e-1) * (p-1)."""
     out = 1
     for p, e in n.factors:
-        out *= p - 1
-        for _ in range(e - 1):
-            out *= p
-        if out > MACHINE_INT_MAX:
-            raise ArithmeticOverflowError("totient exceeds the 64-bit range")
+        for step in range(e):
+            out *= p if step else p - 1
+            if out > MACHINE_INT_MAX:
+                raise ArithmeticOverflowError("totient exceeds the 64-bit range")
     return out
 
 
@@ -204,9 +203,16 @@ def is_prime(u: int) -> bool:
     psi_2 = 1,373,653, the first 3 below psi_3 = 25,326,001, the first 4
     below psi_4 = 3,215,031,751, the first 7 below psi_7 =
     341,550,071,728,321, and all 12 otherwise, which is exact below
-    3.3 * 10**24.  The psi_k are Jaeschke's (Math. Comp. 61, 1993); no
-    probabilistic answers.
+    psi_12 = 318,665,857,834,031,151,167,461, about 3.2 * 10**23.  The
+    psi_k up to psi_8 are Jaeschke's (Math. Comp. 61, 1993), psi_12 and
+    psi_13 Sorenson and Webster's (Math. Comp. 86, 2017); no probabilistic
+    answers.  u >= 2**64, outside the documented domain, raises
+    ArithmeticOverflowError: the 12 bases pass composites there, such as
+    psi_13 = 3,317,044,064,679,887,385,961,981 = 1,287,836,182,261 *
+    2,575,672,364,521.
     """
+    if u >= 1 << 64:
+        raise ArithmeticOverflowError("is_prime is proven only below 2**64")
     if u <= 37:
         return u in _SMALL_PRIMES
     if gcd(u, _SMALL_PRODUCT) != 1:

@@ -329,7 +329,9 @@ def verify_certificate(
     window, O(p_t - p_1 + isqrt(p_t)) steps at C speed in
     O(isqrt(p_t) + segment) memory; a window too sparse for that (a wide
     kernel, a small cluster, or huge primes) goes to Miller-Rabin, one
-    is_prime call per prime, as q always does.
+    is_prime call per prime, as q always does.  A cluster prime or q above
+    MACHINE_INT_MAX, which no document carries, is flagged "primality"
+    without a test.
 
     The product is expanded to truncation k + 1 and read at k alone, or with
     full_window to p_t + len(predict_window) and read on that period, which
@@ -406,9 +408,12 @@ def verify_certificate(
         return VerificationReport(certificate, None, False, False, tuple(reasons))
     p_first, p_last = primes[0], primes[-1]
 
-    if not all_prime(primes):
+    # no document carries a value above MACHINE_INT_MAX, and is_prime
+    # refuses any from 2**64 on
+    if max(primes) > MACHINE_INT_MAX or not all_prime(primes):
         flag(REASON_PRIMALITY)
-    if certificate.q is not None and not is_prime(certificate.q):
+    q = certificate.q
+    if q is not None and (q > MACHINE_INT_MAX or not is_prime(q)):
         flag(REASON_PRIMALITY)
 
     if kernel >= 1 and set(map(kernel.__rmod__, primes)) != {1 % kernel}:

@@ -15,15 +15,20 @@ free of carries.  Its two operations multiply or divide by a binomial
 1 - x**d, or multiply by a geometric sum 1 + x**d + ... + x**((q-1)*d),
 in a few big-integer shifts and adds that run in C:
 
-- multiplication by 1 - x**d is P - (P mod 2**(b*(T-d))) * 2**(b*d);
-- division by it is the product of 1 + x**s over s = d, 2d, 4d, ... below
-  T, ceil(log2(T/d)) doublings P += (P mod 2**(b*(T-s))) * 2**(b*s);
+- every step shifts by P * x**s mod x**T = (P mod 2**(b*(T-s))) * 2**(b*s);
+- multiplication by 1 - x**d is P - P * x**d;
 - multiplication by the geometric sum S_q, with q first cut to the
   floor((T-1)/d) + 1 terms below x**T, reads q's bits from the top:
   S_2k = S_k * (1 + x**(k*d)) is one doubling of the running product R,
   and S_2k+1 = 1 + x**d * S_2k is one shift of R added to P, so it takes
-  floor(log2 q) + popcount(q) - 1 passes.  It holds P and R at once, one
-  full-width copy more than a division.
+  floor(log2 q) + popcount(q) - 1 passes.  Where q has a set bit below
+  its top one, it holds P and R at once, one full-width copy more than a
+  division;
+- division by 1 - x**d is multiplication by S_q for q = 2**L, with L the
+  bit length of floor((T-1)/d): the terms of 1/(1 - x**d) from the q-th
+  on lie beyond x**T.  No bit of that q lies below its top one, so it is
+  L doublings R += R * x**s at s = d, 2d, 4d, ... below T, and no copy of
+  P is kept beside R.
 
 A proven bound B >= max |c_i| is carried from step to step: a
 multiplication by 1 - x**d at most doubles it, a division or a geometric
@@ -116,11 +121,14 @@ class TruncatedSeries:
         in place.
 
         Multiplication is c'_i = c_i - c_{i-d}; division is the running-sum
-        recurrence c'_i = c_i + c'_{i-d}.  A d at or beyond the truncation is
-        a no-op since 1 - x**d = 1 mod x**T.  The limbs widen first where the
-        carried bound requires it, and the result is range checked where
-        that bound does not already prove it (see the module docstring);
-        once the check raises, the series holds no usable value.
+        recurrence c'_i = c_i + c'_{i-d}, computed as the geometric sum of
+        every term of 1/(1 - x**d) below x**T by the ladder of
+        apply_geometric_sum, with doublings only (see the module docstring).
+        A d at or beyond the truncation is a no-op since 1 - x**d = 1 mod
+        x**T.  The limbs widen first where the carried bound requires it,
+        and the result is range checked where that bound does not already
+        prove it (see the module docstring); once the check raises, the
+        series holds no usable value.
         """
         if d < 1:
             raise ValueError(f"exponent d must be at least 1, got {d}")
@@ -129,20 +137,14 @@ class TruncatedSeries:
         t = self.truncation
         if d >= t:
             return
-        bound = self._room_for(2 if sign == 1 else (t - 1) // d + 1)
-        b = self.width
-        p, self.packed = self.packed, 0  # so that the step holds one copy of P
-        shifts = [d]
         if sign == -1:
-            while 2 * shifts[-1] < t:
-                shifts.append(2 * shifts[-1])
-        for s in shifts:
-            keep = b * (t - s)
-            # limbs 0..T-s-1 of P, shifted up by s limbs
-            if sign == 1:
-                p -= (p - ((p >> keep) << keep)) << (b * s)
-            else:
-                p += (p - ((p >> keep) << keep)) << (b * s)
+            # 1/(1 - x**d) = 1 + x**d + x**(2d) + ..., whose terms from the
+            # 2**L-th on lie beyond x**T, for L the bit length of (T-1)//d
+            self._ladder(d, 1 << ((t - 1) // d).bit_length())
+            return
+        bound = self._room_for(2)
+        p, self.packed = self.packed, 0  # so that the step holds one copy of P
+        p -= self._shifted(p, d)
         self._store(p, bound)
 
     def apply_geometric_sum(self, d: int, q: int) -> None:
@@ -150,32 +152,45 @@ class TruncatedSeries:
 
         Only the min(q, floor((T-1)/d) + 1) terms below x**T act, so that is
         the bound's growth, and the step takes floor(log2 q) + popcount(q) - 1
-        passes for that q (see the module docstring).  The limbs widen and
-        the result is checked as in apply_one_minus_power.
+        passes for that q (see the module docstring); a division by 1 - x**d
+        runs the same ladder.  The limbs widen and the result is checked as
+        in apply_one_minus_power.
         """
         if d < 1:
             raise ValueError(f"exponent d must be at least 1, got {d}")
         if q < 1:
             raise ValueError(f"term count q must be at least 1, got {q}")
-        t = self.truncation
-        q = min(q, (t - 1) // d + 1)
-        if q == 1:
-            return
-        bound = self._room_for(q)
-        b = self.width
-        p, self.packed = self.packed, 0
-        r, k = p, 1  # r is P times the sum of the first k terms
+        q = min(q, (self.truncation - 1) // d + 1)
+        if q > 1:
+            self._ladder(d, q)
+
+    def _ladder(self, d: int, q: int) -> None:
+        """Multiply the series by 1 + x**d + ... + x**((q-1)*d) for d < T
+        and q > 1, reading q's bits from the top (see the module docstring).
+
+        The bound grows by the min(q, floor((T-1)/d) + 1) terms below x**T.
+        Where q is a power of two no odd step reads P, so P is not kept
+        beside the running product R.
+        """
+        bound = self._room_for(min(q, (self.truncation - 1) // d + 1))
+        r, self.packed = self.packed, 0
+        p = r if q & (q - 1) else 0
+        k = 1  # r is P times the sum of the first k terms
         for bit in bin(q)[3:]:
-            # k*d < T, since (q - 1)*d < T and 2k <= q
-            keep = b * (t - k * d)
-            r += (r - ((r >> keep) << keep)) << (b * k * d)
+            # k*d < T: 2k <= q, and q is at most (T-1)//d + 1 or the least
+            # power of two above (T-1)//d
+            r += self._shifted(r, k * d)
             k *= 2
             if bit == "1":
-                keep = b * (t - d)
-                r = p + ((r - ((r >> keep) << keep)) << (b * d))
+                r = p + self._shifted(r, d)
                 k += 1
         del p
         self._store(r, bound)
+
+    def _shifted(self, p: int, s: int) -> int:
+        """P * x**s modulo x**T: limbs 0..T-s-1 of P, shifted up by s limbs."""
+        keep = self.width * (self.truncation - s)
+        return (p - ((p >> keep) << keep)) << (self.width * s)
 
     def _room_for(self, growth: int) -> int:
         """The bound on the output of a step that multiplies the bound by

@@ -1,12 +1,16 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cyclocert
 from cyclocert import arith
 from cyclocert.arith import (
     FactoredInteger,
@@ -172,6 +176,32 @@ class TestMultiplicativeFunctions:
         with pytest.raises(ArithmeticOverflowError):
             euler_phi(FactoredInteger(((2, 100),)))
 
+    def test_phi_overflow_of_a_huge_exponent_is_prompt(self):
+        # the range check follows every multiplication, so phi(2**(10**12))
+        # fails after 64 of them; in a child process, so that a check left
+        # until the end of the exponent loop fails by the timeout
+        src = str(Path(cyclocert.__file__).resolve().parent.parent)
+        child = subprocess.run(
+            [sys.executable, "-c", PHI_OF_A_HUGE_POWER, src],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "overflow\n"
+
+
+# prints "overflow" when euler_phi refuses 2**(10**12); argv[1] is the
+# directory holding the package under test
+PHI_OF_A_HUGE_POWER = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from cyclocert.arith import FactoredInteger, euler_phi
+from cyclocert.errors import ArithmeticOverflowError
+try:
+    euler_phi(FactoredInteger(((2, 10**12),)))
+except ArithmeticOverflowError:
+    print("overflow")
+"""
+
 
 class TestPrimality:
     def test_examples(self):
@@ -218,6 +248,15 @@ class TestPrimality:
         assert is_prime(2305843009213693951)  # 2**61 - 1
         assert is_prime(9223372036854775783)  # largest prime below 2**63
         assert not is_prime(9223372036854775781)
+
+    def test_refuses_values_beyond_its_proven_domain(self):
+        assert is_prime(2**64 - 59)  # the largest prime below 2**64
+        # 2**64 + 13 is the least prime above 2**64, and psi_13 =
+        # 1,287,836,182,261 * 2,575,672,364,521 a strong pseudoprime to
+        # every base up to 41
+        for u in (2**64, 2**64 + 13, 3_317_044_064_679_887_385_961_981):
+            with pytest.raises(ArithmeticOverflowError):
+                is_prime(u)
 
 
 # Jaeschke's psi_2 ... psi_7 (psi_8 = psi_7), the least strong pseudoprime to

@@ -523,6 +523,26 @@ class TestVerifyCertificate:
         assert not report.passed
         assert REASON_Q_BOUND in report.reasons
 
+    @pytest.mark.parametrize("field", ["q", "cluster"])
+    @pytest.mark.parametrize("full_window", [False, True])
+    def test_prime_beyond_the_document_range_fails_primality(self, field, full_window):
+        # psi_13 = 1,287,836,182,261 * 2,575,672,364,521 passes Miller-Rabin
+        # to every base up to 41; no document carries a value above
+        # MACHINE_INT_MAX, so the library API must not vouch for one
+        psi_13 = 3_317_044_064_679_887_385_961_981
+        cert = build_certificate(3, 2, "c")
+        assert cert.q == 67
+        old = 67 if field == "q" else cert.cluster.primes[-1]
+        n = FactoredInteger(tuple(sorted((psi_13 if p == old else p, e) for p, e in cert.N.factors)))
+        if field == "q":
+            bad = replace(cert, q=psi_13, N=n, N_lifted=n)
+        else:
+            primes = cert.cluster.primes[:-1] + (psi_13,)
+            bad = replace(cert, cluster=replace(cert.cluster, primes=primes), N=n, N_lifted=n)
+        report = verify_certificate(bad, full_window=full_window)
+        assert not report.passed
+        assert REASON_PRIMALITY in report.reasons
+
     def test_window_tamper_rejected(self):
         cert = build_certificate(3, 2, "a")
         bad = replace(cert, k_kernel=cert.truncation, k_lifted=cert.truncation)
