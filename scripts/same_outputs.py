@@ -7,9 +7,10 @@ it computed and one SHA-256 over every item's key and output.  Two trees
 give the same outputs on a family when they print the same line for it.
 
 - cyclo: c_table's period, lookup and c_coeff at residues far past the
-  period, a_coeff, phi_poly, and periodic phi_truncated /
-  inverse_phi_truncated reads over several kernels K, with reads longer
-  than K among them; exceptions (budget refusals included) are outputs.
+  period, a_coeff (also at n = 1616615, 255255, 2p and 6p in the full
+  sweep), phi_poly, and periodic phi_truncated / inverse_phi_truncated
+  reads over several kernels K, with reads longer than K among them;
+  exceptions (budget refusals included) are outputs.
 - documents: `hunt` on the acceptance grid (m <= 30, |v| <= 10), on m = 30
   with v in {+-300, +-1000} and on m in {2310, 30030} with small |v|, both
   modes, with the document, the plain and the `--full-window` `verify`
@@ -23,7 +24,8 @@ give the same outputs on a family when they print the same line for it.
   Phi_rad's degree and past phi(n), and `coeff a` / `coeff c` at k from -1
   to far past the degree, each under CYCLO_DEGREE_BUDGET unset, not
   positive and set to small values that some n breaks, with the exit code,
-  stdout and stderr.
+  stdout and stderr; the full sweep adds the six queries of the `tables`
+  benchmark workload.
 - arith: factor for every n below 2**20, for seeded products of a small
   part and one to three primes above 4096 (the cofactors that Brent's rho
   splits) and for the inputs it refuses; all_prime on seeded lists of the
@@ -92,6 +94,11 @@ def _cli(*argv: str) -> str:
     return _text(json.dumps([code, out.getvalue(), err.getvalue()]))
 
 
+# n of the a_coeff reads of the full cyclo family: 1616615 = 85085 * 19 and
+# 255255 = 15015 * 17 as the tables workload reads them, and 2p, 6p
+A_COEFF_NS = (1616615, 255255, 2 * 4099, 6 * 4099, 2 * 65537, 6 * 65537)
+
+
 def cyclo_items(quick: bool):
     from cyclocert import cyclo
     from cyclocert.arith import FactoredInteger, euler_phi, factor, next_prime_above
@@ -112,6 +119,13 @@ def cyclo_items(quick: bool):
         table = cyclo.c_table(n)
         yield f"c_table {n}", _text(table.period)
         yield f"lookup {n}", _text([table.lookup(k) for k in range(0, 50 * n, 997)])
+    # a_coeff whose window of c(K, .) at step -p wraps the period of 1/Phi_K
+    # many times, or whose p exceeds K = 2 or 6
+    for n in () if quick else A_COEFF_NS:
+        phi = euler_phi(factor(n))
+        picks = Random(n).sample(range(phi + 1), 40)
+        ks = sorted({0, 1, phi // 2, phi - 1, phi, phi + 1, 300000, *picks})
+        yield f"a_coeff {n}", _text([cyclo.a_coeff(n, k) for k in ks])
     for n, k, budget in ((101, 0, 100), (1009, 3, 100), (10**14, 0, 1000), (30, 5, 8),
                          (0, 0, 10), (210, 7, 47), (210, 7, 48), (2310, 1, 0)):
         for name in ("c_table", "phi_poly"):
@@ -232,6 +246,15 @@ def tampers_items(quick: bool):
 CLI_BUDGETS = (None, "-3", "0", "1", "7", "50", "500", "5000")
 # --kmax of the scans: 23, 24 and 25 straddle half of phi(105) = 48
 SCAN_KMAXES = (None, -5, -1, 0, 1, 2, 5, 11, 23, 24, 25, 60, 200, 10**6)
+# the queries of the tables benchmark workload
+TABLES_ARGV = (
+    ("scan", "--m", "1", "--nmax", "4000"),
+    ("scan", "--m", "105", "--nmax", "60"),
+    ("coeff", "a", "255255", "60000"),
+    ("coeff", "a", "1616615", "300000"),
+    ("coeff", "c", "3003", "1500"),
+    ("coeff", "c", "15015", "7000"),
+)
 
 
 def _cli_runs(quick: bool):
@@ -255,6 +278,8 @@ def _cli_runs(quick: bool):
             for kind in "ac":
                 argv = ("coeff", kind, str(n), str(k))
                 yield from ((argv + ("--json",) * (k == 1), budget) for budget in budgets)
+    if not quick:
+        yield from ((argv, None) for argv in TABLES_ARGV)
 
 
 def cli_items(quick: bool):

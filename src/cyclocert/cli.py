@@ -310,48 +310,69 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _height_bound(fac: FactoredInteger) -> int | None:
-    """A proven bound on every |a(n, k)|, from n's odd primes q1 < q2 < ...
+def _bound_by_odd_primes(count: int, least: int) -> int | None:
+    """A proven bound on every |a(n, k)|, from the number of n's odd primes
+    and the least of them, q1, with 0 for a q1 not known.
 
     A(n) = A(rad(n)) by the stretch, and A(2j) = A(j) for odd j because
     Phi_2j(x) = Phi_j(-x), so the prime 2 and all exponents drop out: 1 for
     at most two odd primes (Migotti, 1883), q1 - ceil(q1/4) for exactly
     three (Bachman, J. Number Theory 100, 2003), and None, no bound, for
-    more.
+    more, or for three with q1 not known.
     """
-    odd = [p for p, _ in fac.factors if p > 2]
-    if len(odd) <= 2:
+    if count <= 2:
         return 1
-    if len(odd) == 3:
-        return odd[0] - (odd[0] + 3) // 4
+    if count == 3 and least:
+        return least - (least + 3) // 4
     return None
 
 
-# a count of odd primes plus one, where 3 stands for three or more
-_COUNT_UP = bytes(min(count + 1, 3) for count in range(256))
+def _height_bound(fac: FactoredInteger) -> int | None:
+    """_bound_by_odd_primes of n = fac, whose odd primes are all known."""
+    odd = [p for p, _ in fac.factors if p > 2]
+    return _bound_by_odd_primes(len(odd), min(odd, default=0))
+
+
+# a count of odd primes plus one, where 4 stands for four or more
+_COUNT_UP = bytes(min(count + 1, 4) for count in range(256))
+# the least odd prime that _odd_prime_counts records; a larger one is
+# recorded as 0, not known
+_LEAST_KNOWN = 256
 # multipliers _odd_prime_counts sieves at most, so its memory stays bounded
 # under any budget from the environment
 _SCAN_SIEVE_LIMIT = 1 << 20
 
 
-def _odd_prime_counts(m: int, size: int) -> bytes:
-    """Entry j, 1 <= j < size, is the number of odd primes of m*j, or 3 for
-    three or more; empty when size < 2 or m alone has three.
+def _odd_prime_counts(m: int, size: int) -> tuple[bytes, bytes]:
+    """(counts, least): for 1 <= j < size, counts[j] is the number of odd
+    primes of m*j, or 4 for four or more, and least[j] the least of them
+    when it is below _LEAST_KNOWN, else 0; both empty when size < 2 or m
+    alone has four.
 
     One sieve over the multipliers: each odd prime r < size that does not
-    divide m adds one to the entries of its multiples, at C speed.  It
-    holds size bytes, and cmd_scan keeps size within _SCAN_SIEVE_LIMIT + 1.
+    divide m adds one to the counts of its multiples, at C speed.  The
+    least odd prime of m*j is that of m or of j, whichever is smaller, so
+    each entry of least starts at m's, or at 0, and each odd prime r below
+    both it and _LEAST_KNOWN, taken ascending, writes r into the entries of
+    its multiples that no smaller prime wrote.  It holds two bytes per
+    multiplier, and cmd_scan keeps size within _SCAN_SIEVE_LIMIT + 1.
     """
     if size < 2:
-        return b""
-    own = sum(p > 2 for p, _ in factor(m).factors)
-    if own >= 3:
-        return b""
-    counts = bytearray([own]) * size
+        return b"", b""
+    odd = [p for p, _ in factor(m).factors if p > 2]
+    if len(odd) >= 4:
+        return b"", b""
+    start = odd[0] if odd and odd[0] < _LEAST_KNOWN else 0
+    counts = bytearray([len(odd)]) * size
+    least = bytearray([start]) * size
     for r in _class_primes(1, 2, size - 1):
         if m % r:
             counts[r::r] = counts[r::r].translate(_COUNT_UP)
-    return bytes(counts)
+        if r < (start or _LEAST_KNOWN):
+            first = bytearray(range(256))
+            first[start] = r
+            least[r::r] = least[r::r].translate(first)
+    return bytes(counts), bytes(least)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -365,20 +386,23 @@ def cmd_scan(args: argparse.Namespace) -> int:
     #   with j' < n/m was scanned, and Phi_n's first kmax + 1 coefficients
     #   are zeros and a(rad(n), i) for i <= kmax.
     # Up to n = budget the budget checks cannot fail (see there), so an n
-    # there with at most two odd primes (B = 1), counted by one sieve over
-    # the multipliers, is skipped unfactored once [-1, 1] has been seen.
-    # Under --kmax only a(n, 0..kmax) are read, by _phi_prefix from the
-    # factorization already made; without it phi_poly(n) factors n again.
+    # there whose bound the sieve over the multipliers settles (at most two
+    # odd primes, or three with the least below _LEAST_KNOWN) is skipped
+    # unfactored once [-B, B] has been seen.  Under --kmax only a(n,
+    # 0..kmax) are read, by _phi_prefix from the factorization already
+    # made; without it phi_poly(n) factors n again.
     budget = _env_degree_budget()
     m = args.m
-    sieved = b""
+    counts = least = b""
     if m >= 1:
-        sieved = _odd_prime_counts(m, min(args.nmax, budget // m, _SCAN_SIEVE_LIMIT) + 1)
+        counts, least = _odd_prime_counts(m, min(args.nmax, budget // m, _SCAN_SIEVE_LIMIT) + 1)
     first_seen: dict[int, tuple[int, int]] = {}
     covered = -1  # the largest c such that every value in [-c, c] has been seen
     for multiplier in range(1, args.nmax + 1):
-        if covered >= 1 and multiplier < len(sieved) and sieved[multiplier] <= 2:
-            continue
+        if multiplier < len(counts):
+            bound = _bound_by_odd_primes(counts[multiplier], least[multiplier])
+            if bound is not None and covered >= bound:
+                continue
         n = m * multiplier
         fac = _factor_within_budget(n, budget)
         bound = _height_bound(fac)

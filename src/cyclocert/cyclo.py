@@ -69,22 +69,39 @@ class InverseCoefficientTable:
         return self.window(0, self.n)
 
     def lookup(self, k: int) -> int:
-        j = k % self.n
-        return self.nonzero[j] if j < len(self.nonzero) else 0
+        """c(n, k mod n): the one-entry window at k."""
+        return self.window(k, 1)[0]
 
-    def window(self, offset: int, count: int) -> tuple[int, ...]:
-        """c(n, (offset + i) mod n) for 0 <= i < count, any integer offset.
+    def window(self, offset: int, count: int, step: int = 1) -> tuple[int, ...]:
+        """c(n, (offset + step*i) mod n) for 0 <= i < count, any integers
+        offset and step.
 
-        Each turn of the period the window crosses adds one slice of the
-        nonzero part and the zeros after it, so a window of at most n
-        entries is at most two of each: O(count), with nothing of length n
-        built for a short window.
+        The step is reduced to its least absolute residue s mod n, |s| <=
+        n/2.  A turn is the run of indices j, j + s, ... that stays in [0,
+        n); it is one strided slice of the nonzero part plus the zeros past
+        n - phi(n), written in after the slice for s > 0 and before it for s
+        < 0.  A turn holds about n/|s| >= 2 entries, so a window costs
+        O(count) at C speed plus O(1 + count*|s|/n) turns, and nothing of
+        length n is built for a short window: at step 1, a window of at
+        most n entries is at most two turns.
         """
-        out, j = [], offset % self.n
+        n, nonzero = self.n, self.nonzero
+        half = n // 2
+        step = (step + half) % n - half
+        j = offset % n
+        if step == 0:
+            return (nonzero[j] if j < len(nonzero) else 0,) * count
+        stride = abs(step)
+        out: list[int] = []
         while len(out) < count:
-            stop = min(self.n, j + count - len(out))
-            out += self.nonzero[j:stop] + (0,) * (stop - max(j, len(self.nonzero)))
-            j = 0
+            turn = min(((n - 1 - j) if step > 0 else j) // stride + 1, count - len(out))
+            last = j + (turn - 1) * step
+            # the turn's indices ascending; those past the nonzero part fall
+            # off the slice and are zeros
+            part = nonzero[min(j, last) : max(j, last) + 1 : stride]
+            zeros = (0,) * (turn - len(part))
+            out += part + zeros if step > 0 else zeros + part[::-1]
+            j = (last + step) % n
         return tuple(out)
 
 
@@ -455,8 +472,9 @@ def phi_poly(n: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> Cyclotomi
 # period of 1/Phi_n, held by every InverseCoefficientTable (c_table's,
 # a_coeff's through it, the hunter's, and the periodic route's of
 # _truncated_product, whose K is factored off N's primes) and read only
-# through its window and lookup; bounded, since a_coeff keeps one per kernel K =
-# rad(n)/p it meets; 32 holds every kernel of the acceptance grid (m <= 30)
+# through its window, strided or not (lookup is a window of one); bounded,
+# since a_coeff keeps one per kernel K = rad(n)/p it meets; 32 holds every
+# kernel of the acceptance grid (m <= 30)
 @lru_cache(maxsize=32)
 def _c_table_cached(fac: FactoredInteger) -> tuple[int, ...]:
     if fac.is_one:
@@ -497,7 +515,10 @@ def a_coeff(n: int, k: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> in
         a(Kp, k) = sum over 0 <= i <= min(phi(K), k/p) of a(K, i) * c(K, k - p*i)
 
     with a(K, .) from phi_poly(K) and c(K, .) from c_table(K), whose memo
-    is keyed on K.  K <= phi(n), so the budget checks are those of
+    is keyed on K.  The c(K, k - p*i) are read as one window of c_table(K)
+    at offset k and step -p, a few strided slices of its nonzero part (see
+    InverseCoefficientTable.window), so the sum is one map at C speed with
+    no call per term.  K <= phi(n), so the budget checks are those of
     phi_poly(n) and nothing else can exceed the budget.  The cost is
     O(#div(K) * K) to expand Phi_K, on every call, and the period of
     1/Phi_K, once per K, plus O(K + min(phi(K), k/p)) per call.  A loop
@@ -520,8 +541,8 @@ def a_coeff(n: int, k: int, *, degree_budget: int = DEFAULT_DEGREE_BUDGET) -> in
     kernel = FactoredInteger(rad.factors[:-1])  # K = rad/p
     coeffs = phi_poly(kernel.value(), degree_budget=degree_budget).coeffs
     table = c_table(kernel.value(), degree_budget=degree_budget)
-    # map stops at the shorter input: i <= phi(K) and p*i <= k
-    value = sum(map(mul, coeffs, map(table.lookup, range(k, -1, -p))))
+    # i <= phi(K) and p*i <= k; c(K, k - p*i) is one strided window
+    value = sum(map(mul, coeffs, table.window(k, min(len(coeffs), k // p + 1), -p)))
     if abs(value) > MACHINE_INT_MAX:
         raise ArithmeticOverflowError("coefficient outside the 64-bit range")
     return value

@@ -923,19 +923,26 @@ class TestScanSieve:
         expected = scan_by_factoring(m, nmax, kmax, _phi_coeffs)
         assert _scan_rows(capsys, m, nmax, kmax) == expected
 
-    @pytest.mark.parametrize("m", [1, 2, 15, 77, 105, 4096])
+    @pytest.mark.parametrize(
+        "m", [1, 2, 15, 77, 105, 4096, 1155, 3 * 257, 257 * 263 * 269, 2 * 257 * 263]
+    )
     def test_odd_prime_counts(self, m):
-        counts = cli._odd_prime_counts(m, 500)
-        expected = [min(sum(p > 2 for p, _ in trial_factor(m * j)), 3) for j in range(1, 500)]
-        if expected[0] >= 3:
-            assert counts == b""  # m alone has three odd primes: nothing to skip
+        # counts to four or more, and the least odd prime when below 256
+        counts, least = cli._odd_prime_counts(m, 500)
+        odd = [[p for p, _ in trial_factor(m * j) if p > 2] for j in range(1, 500)]
+        if len(odd[0]) >= 4:
+            assert (counts, least) == (b"", b"")  # m alone has four odd primes
         else:
-            assert list(counts[1:]) == expected
-        assert cli._odd_prime_counts(m, 1) == b""
+            assert list(counts[1:]) == [min(len(primes), 4) for primes in odd]
+            assert list(least[1:]) == [
+                primes[0] if primes and primes[0] < 256 else 0 for primes in odd
+            ]
+        assert cli._odd_prime_counts(m, 1) == (b"", b"")
 
     def test_sieved_n_are_not_factored(self, capsys, monkeypatch):
-        # once -1, 0 and 1 are seen (at n = 4), only an n with three or more
-        # odd primes is factored: every other n has height bound 1
+        # an n whose height bound the sieve settles (at most two odd primes,
+        # or three with the least below 256) is factored only while a value
+        # in [-B, B] is unseen; n with four or more odd primes always are
         factored = []
 
         def recorded(function):
@@ -948,13 +955,26 @@ class TestScanSieve:
         # _factor_within_budget
         monkeypatch.setattr(cli, "factor", recorded(cli.factor))
         monkeypatch.setattr(cli, "_factor_within_budget", recorded(cli._factor_within_budget))
-        assert run_cli(capsys, "scan", "--m", "1", "--nmax", "4000")[0] == 0
-        expected = [
-            n for n in range(1, 4001)
-            if n <= 4 or sum(p > 2 for p, _ in trial_factor(n)) >= 3
-        ]
+        expanded = _record_expansions(monkeypatch)
+        code, out, _ = run_cli(capsys, "scan", "--m", "1", "--nmax", "4000", "--json")
+        assert code == 0
+        first_n = {row["value"]: row["n"] for row in json.loads(out)}
+
+        def seen_before(n: int, bound: int) -> bool:
+            return all(first_n.get(v, n) < n for v in range(-bound, bound + 1))
+
+        expected = []
+        for n in range(1, 4001):
+            odd = [p for p, _ in trial_factor(n) if p > 2]
+            if len(odd) <= 3:
+                bound = odd[0] - -(-odd[0] // 4) if len(odd) == 3 else 1
+                if seen_before(n, bound):
+                    continue
+            expected.append(n)
         assert factored[0] == 1  # the sieve's own factor(m)
         assert factored[1:] == expected
+        assert len(expected) <= 42
+        assert len(expanded) == 41
 
     @pytest.mark.parametrize("budget", [0, 1, 50, 500])
     @pytest.mark.parametrize("m", [1, 6, 11, 105])

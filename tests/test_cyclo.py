@@ -447,6 +447,71 @@ class TestInversePeriod:
         assert parities == {0, 1}
 
 
+class TestStridedWindow:
+    # window(offset, count, step) against a per-index read of the padded
+    # period, with steps reduced past either sign and past n, and offsets
+    # in the zeros, at the edge of the nonzero part and far past the period
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 30, 105, 2310, 85085])
+    def test_against_the_padded_period(self, n):
+        table = c_table(n)
+        deg = len(table.nonzero) - 1
+        period = list(table.nonzero) + [0] * (n - deg - 1)
+        for step in (1, -1, -19, n + 1, n - 1, -n + 1, -n - 1, 2 * n):
+            for offset in (-7, deg, deg + 1, 10**12 + n, 3**40):
+                for count in (0, 1, n, 3 * n + 2):
+                    expected = tuple(period[(offset + step * i) % n] for i in range(count))
+                    assert table.window(offset, count, step) == expected, (n, step, offset, count)
+
+
+def _kernel_products(rng: random.Random, count: int) -> list[int]:
+    """Seeded n = s*K*p, K squarefree from small primes, p a prime above
+    them, s a stretch over primes of K*p, with phi(n) below 60,000."""
+    out = []
+    while len(out) < count:
+        kernel_primes = sorted(rng.sample(PRIMES_BELOW_300[:8], rng.randint(1, 4)))
+        kernel = 1
+        for q in kernel_primes:
+            kernel *= q
+        p = next_prime_above(rng.randrange(kernel_primes[-1], 3 * kernel + 40))
+        n = kernel * p * rng.choice((1, 1, 1, kernel_primes[0], p))
+        if euler_phi(factor(n)) < 60_000:
+            out.append(n)
+    return out
+
+
+class TestACoeffWindow:
+    # a(Kp, k) = sum of a(K, i) * c(K, k - p*i): the c(K, .) are one window
+    # at step -p, which wraps around the period of 1/Phi_K many times when
+    # k/p is large next to K, and is reduced mod K when p > K
+
+    @pytest.mark.parametrize(
+        "n",
+        [2 * 101, 2 * 4099, 6 * 101, 6 * 4099, 255255]
+        + _kernel_products(random.Random(3001), 24),
+    )
+    def test_against_the_whole_polynomial(self, n):
+        coeffs = phi_poly(n).coeffs
+        phi = len(coeffs) - 1
+        rng = random.Random(n)
+        ks = {0, 1, phi // 2, phi - 1, phi, *rng.sample(range(phi + 1), min(phi + 1, 60))}
+        for k in sorted(ks):
+            assert a_coeff(n, k) == coeffs[k], (n, k)
+
+    def test_reads_no_entry_by_lookup(self, monkeypatch):
+        calls = []
+        lookup = cyclo.InverseCoefficientTable.lookup
+
+        def counted(table, k):
+            calls.append(k)
+            return lookup(table, k)
+
+        monkeypatch.setattr(cyclo.InverseCoefficientTable, "lookup", counted)
+        assert a_coeff(1616615, 300000) == -805
+        assert a_coeff(255255, 12345) == phi_poly(255255).coeffs[12345]
+        assert calls == []
+
+
 class TestPhiTruncated:
     def test_agrees_with_exact_polynomial(self):
         assert phi_truncated(factor(6), 3) == phi_poly(6).coeffs[:3]
